@@ -49,7 +49,8 @@ procedure runs twice against a per-procedure store under DIR — cold
 durability discipline) and warm from a fresh store instance
 (``warm_wall_s``/``warm_speedup``/``memo_hits``) — with the in-process
 identification cache cleared around every leg so the timings measure
-the store, and all three reports checked bit-identical on the spot.
+the store, and all three reports (netlists included) checked
+bit-identical on the spot.
 """
 
 import argparse
@@ -61,7 +62,8 @@ import time
 
 from repro.benchcircuits.suite import suite_circuit
 from repro.comparison import identification_cache
-from repro.resynth import REPORT_NUMBER_FIELDS, procedure2, procedure3
+from repro.resynth import procedure2, procedure3
+from repro.verify import report_divergence
 
 #: Default circuit set: smallest, a mid-size, and the largest suite member
 #: (the acceptance circuit for the incremental engine).
@@ -117,8 +119,7 @@ def bench_one(name, k, seed, jobs, memo_root=None, fabric=None):
                                memo=store, fabric=fabric)
                 walls[leg] = time.perf_counter() - t1
                 identification_cache().clear()
-                drift = [f for f in REPORT_NUMBER_FIELDS
-                         if getattr(leg_rep, f) != getattr(rep, f)]
+                drift = report_divergence(rep, leg_rep)
                 if drift:
                     raise SystemExit(
                         f"{leg}-memo report diverged for {name} "
@@ -148,11 +149,7 @@ def bench_sweep(circuits, seed):
 
     from repro.fabric import RemoteFabric
     from repro.service import ArtifactStore, ServiceServer
-    from repro.sweep import (
-        SWEEP_ROW_NUMBER_FIELDS,
-        SweepRunner,
-        sweep_from_doc,
-    )
+    from repro.sweep import SweepRunner, sweep_from_doc
 
     spec = sweep_from_doc({
         "format": "repro-sweepspec",
@@ -196,17 +193,11 @@ def bench_sweep(circuits, seed):
                 n_front = sum(len(ids) for ids in result.front.values())
                 entry["front_cells"] = n_front
             else:
-                ref_rows = {r["cell_id"]: r for r in reference.rows}
-                for row in result.rows:
-                    drift = [f for f in SWEEP_ROW_NUMBER_FIELDS
-                             if ref_rows[row["cell_id"]][f] != row[f]]
-                    if drift:
-                        raise SystemExit(
-                            f"sweep leg {leg_name} diverged on cell "
-                            f"{row['cell_id']}: {', '.join(drift)}")
-                if result.front != reference.front:
+                drift = report_divergence(reference, result)
+                if drift:
                     raise SystemExit(
-                        f"sweep leg {leg_name} changed the Pareto front")
+                        f"sweep leg {leg_name} diverged on: "
+                        f"{', '.join(drift)}")
             entry["legs"][leg_name] = {"wall_s": round(wall, 3)}
             print(f"sweep {leg_name}: {wall:.2f}s "
                   f"({len(result.rows)} cells"

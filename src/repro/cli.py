@@ -28,8 +28,7 @@ Subcommands
 ``replay ARTIFACT [ARTIFACT ...]``
     Re-run the oracle of previously written repro artifacts.
 ``serve [--root DIR] [--port P] [--workers N] [--memo DIR] \
-[--task-workers N] [--tenants FILE] [--queue-limit N] \
-[--frontend async|threaded]``
+[--task-workers N] [--tenants FILE] [--queue-limit N]``
     Run the checkpointable resynthesis job service (docs/SERVICE.md;
     operations in docs/OPERATIONS.md); ``--memo`` shares one
     identification cache across all workers, ``--task-workers``
@@ -383,7 +382,6 @@ def _cmd_serve(args) -> int:
         ServiceServer,
         SupervisorConfig,
         TenantRegistry,
-        ThreadedServiceServer,
     )
 
     store = ArtifactStore(args.root)
@@ -394,50 +392,28 @@ def _cmd_serve(args) -> int:
         memo_url=args.memo_url,
         fabric_workers=tuple(args.fabric_workers),
     )
-    if args.frontend == "threaded":
-        if args.tenants or args.queue_limit:
-            print("error: --tenants/--queue-limit need the async front "
-                  "end (--frontend async)", file=sys.stderr)
+    if args.tenants:
+        try:
+            # Validate up front for a clean CLI error; the path is
+            # handed to the server too, which hot-reloads edits
+            # (rejected reloads keep the old registry).
+            TenantRegistry.from_file(args.tenants)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
-        server = ThreadedServiceServer(
-            store, host=args.host, port=args.port, config=config,
-            max_workers=args.workers, verbose=args.verbose,
-            task_workers=args.task_workers,
-        )
-    else:
-        if args.tenants:
-            try:
-                # Validate up front for a clean CLI error; the path is
-                # handed to the server too, which hot-reloads edits
-                # (rejected reloads keep the old registry).
-                TenantRegistry.from_file(args.tenants)
-            except (OSError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        server = ServiceServer(
-            store, host=args.host, port=args.port, config=config,
-            max_workers=args.workers, verbose=args.verbose,
-            task_workers=args.task_workers,
-            queue_limit=args.queue_limit,
-            tenants_file=args.tenants or None,
-        )
+    server = ServiceServer(
+        store, host=args.host, port=args.port, config=config,
+        max_workers=args.workers, verbose=args.verbose,
+        task_workers=args.task_workers,
+        queue_limit=args.queue_limit,
+        tenants_file=args.tenants or None,
+    )
     memo_note = f", memo: {args.memo}" if args.memo else ""
     task_note = (f", task-workers: {args.task_workers}"
                  if args.task_workers else "")
     tenant_note = (f", tenants: {args.tenants}" if args.tenants else "")
     queue_note = (f", queue-limit: {args.queue_limit}"
                   if args.queue_limit else "")
-    if args.frontend == "threaded":
-        # The threaded server binds in its constructor; the async one
-        # binds in start(), so print after it is listening.
-        print(f"repro.service listening on {server.url} "
-              f"(store: {store.root}, workers: {args.workers}"
-              f"{memo_note}{task_note})")
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            print("shutting down")
-        return 0
     try:
         server.start()
     except OSError as exc:
@@ -739,11 +715,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--queue-limit", type=int, default=0, metavar="N",
                    help="bound the admission queue at N jobs; beyond it "
                         "submits get 429 + Retry-After (0 = unbounded)")
-    p.add_argument("--frontend", choices=("async", "threaded"),
-                   default="async",
-                   help="HTTP front end: the asyncio default or the "
-                        "legacy thread-per-request server (no SSE, "
-                        "batch or tenant routes)")
     p.add_argument("--verbose", action="store_true",
                    help="log HTTP requests")
     p.set_defaults(func=_cmd_serve)

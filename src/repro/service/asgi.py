@@ -46,9 +46,9 @@ per tick.
 and waits.
 
 *Determinism is untouched.*  The front end only admits, observes and
-serves artifacts; job execution is the same supervisor/worker path as
-the threaded front end, so reports are bit-identical across front ends
-(``tests/service/test_frontends.py``, ``scripts/service_smoke.py``).
+serves artifacts; job execution is the supervisor/worker path, so an
+HTTP job's report is bit-identical to an in-process run of the same
+spec (``scripts/service_smoke.py``).
 """
 
 from __future__ import annotations
@@ -61,17 +61,53 @@ from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs
 
 from ..obs import PROMETHEUS_CONTENT_TYPE, render_prometheus
-from .api import (
-    MAX_EVENT_WAIT,
-    ResynthesisService,
-    _accepts_prometheus,
-)
+from .api import ResynthesisService
 from .jobspec import JobSpecError, spec_from_doc
 from .store import ArtifactStore, StoreError, TERMINAL_STATES
 from .supervisor import SupervisorConfig
 from .tenants import AuthError, BackpressureError, TenantRegistry
 
 __all__ = ["API_VERSION", "EventBroker", "ServiceApp", "ServiceServer"]
+
+#: Longest long-poll the server will hold a connection for.
+MAX_EVENT_WAIT = 30.0
+
+#: Media types that select Prometheus text exposition on ``/metrics``.
+_PROMETHEUS_TYPES = ("text/plain", "application/openmetrics-text", "text/*")
+#: Media types that select the historical JSON snapshot.
+_JSON_TYPES = ("application/json", "application/*")
+
+
+def _accepts_prometheus(accept: Optional[str]) -> bool:
+    """True when an ``Accept`` header *prefers* Prometheus text over JSON.
+
+    JSON stays the default for back-compat: no header, ``*/*`` and ties
+    all keep the historical snapshot.  Text wins only when a plain-text
+    media type carries a strictly higher q-value than every JSON
+    alternative (``*/*`` counts toward JSON as "anything is fine").
+    """
+    if not accept:
+        return False
+    best_text = 0.0
+    best_json = 0.0
+    for clause in accept.split(","):
+        parts = [p.strip() for p in clause.split(";")]
+        media = parts[0].lower()
+        if not media:
+            continue
+        q = 1.0
+        for param in parts[1:]:
+            if param.startswith("q="):
+                try:
+                    q = float(param[2:])
+                except ValueError:
+                    q = 0.0
+        if media in _PROMETHEUS_TYPES:
+            best_text = max(best_text, q)
+        elif media in _JSON_TYPES or media == "*/*":
+            best_json = max(best_json, q)
+    return best_text > best_json
+
 
 #: The HTTP API version (``X-Repro-Api-Version`` on every response;
 #: also served by ``GET /version``).  Bumped on breaking route or

@@ -21,7 +21,7 @@ Durability contract (the sweep analogue of the job store's):
   and ``resume=True`` re-runs only the cells without a stored report.
   Tasks are pure functions of their cell spec, so the resumed sweep's
   report is bit-identical to an uninterrupted run's (the ``sweep``
-  oracle and ``scripts/sweep_smoke.py`` pin this).
+  oracle's ``resumed`` leg pins this).
 
 Obs: a ``sweep.run`` span wraps the run; ``sweep_cells_total`` /
 ``sweep_cells_resumed_total`` count work done vs. skipped, and

@@ -3,10 +3,11 @@
 The correctness tooling for the rest of the package: a naive scalar
 reference interpreter, pluggable differential oracles that cross-check the
 independent engines (packed simulation, event-driven fault simulation, the
-PODEM miter, comparison-unit construction, the serial-vs-parallel
-resynthesis sweep, checkpoint/resume of the sweep), a delta-debugging
-counterexample shrinker, deterministic JSON repro artifacts, and a seeded
-fuzz driver with seed- and time-budgeted modes.
+PODEM miter, comparison-unit construction, and one reference-vs-legs
+driver for the determinism oracles: backends, checkpoint/resume, the
+persistent memo and sweeps), a delta-debugging counterexample shrinker,
+deterministic JSON repro artifacts, and a seeded fuzz driver with seed-
+and time-budgeted modes.
 
 Entry points: :func:`run_fuzz` (library), ``repro-resynth fuzz`` /
 ``python -m repro fuzz`` (CLI), and the replayable corpus regression under
@@ -37,11 +38,13 @@ from .oracles import (
     ResumeOracle,
     ResynthOracle,
     SimulatorOracle,
+    SweepOracle,
     Violation,
     default_oracles,
     incremental_state_mismatch,
     inject_stuck_fault,
     netlist_dump,
+    report_divergence,
     spec_from_seed,
 )
 from .refsim import (
@@ -68,6 +71,7 @@ __all__ = [
     "ResynthOracle",
     "ShrinkResult",
     "SimulatorOracle",
+    "SweepOracle",
     "Violation",
     "buggy_gate_eval",
     "default_oracles",
@@ -80,6 +84,7 @@ __all__ = [
     "ref_simulate_pattern",
     "ref_truth_tables",
     "replay_artifact",
+    "report_divergence",
     "run_fuzz",
     "shrink_circuit",
     "spec_from_seed",

@@ -30,25 +30,15 @@ executable check over a (usually randomly generated) instance:
     mutation of a seeded random mutation sequence applied to the fuzz
     circuit (:mod:`repro.netlist.incremental` provides the ground-truth
     rebuilds).
-``parallel``
-    Procedures 2 and 3 run with ``jobs=1`` and with a worker pool
-    (``jobs=2``) must produce bit-identical reports *and* bit-identical
-    result netlists — the :mod:`repro.parallel` determinism contract,
-    checked with the shared identification cache cleared between runs so
-    the parallel run genuinely consumes worker-computed results.
-``resume``
-    A sweep killed after a random pass and resumed from its serialized
-    checkpoint must produce a report and a result netlist bit-identical
-    to the uninterrupted run — the checkpoint/resume contract of
-    :mod:`repro.service` (docs/SERVICE.md), checked with the
-    identification cache cleared before the resumed leg so it is as cold
-    as a genuinely restarted worker process.
-``memo``
-    Procedures 2 and 3 assisted by the persistent identification cache
-    (:mod:`repro.memo`) — recording cold, replaying warm, replaying
-    after a JSON round-trip of every entry file, under ``jobs=2`` and
-    resumed from a checkpoint — must all be bit-identical to a memo-less
-    baseline (docs/MEMO.md: the store may only change the wall clock).
+``parallel``, ``resume``, ``memo``, ``sweep``
+    The determinism contract: Procedures 2 and 3 return the same report
+    numbers and netlist on every execution path.  One driver,
+    :class:`LegOracle`, runs a cold reference and then each oracle's
+    *legs* — worker pools and remote fabrics, a JSON round-tripped
+    checkpoint resume, persistent-memo runs, sweep backends, a resumed
+    sweep and every sweep cell as a standalone job — comparing each with
+    :func:`report_divergence` and applying the leg's own checks.  The
+    leg table is in docs/VERIFICATION.md.
 
 Violations carry enough context to reproduce: the seed, a message, the
 offending circuit (when one exists) and structured details.  The fuzz
@@ -58,12 +48,15 @@ persists them as JSON artifacts (:mod:`repro.verify.artifact`).
 
 from __future__ import annotations
 
+import functools
+import glob
 import json
 import os
 import random
 import tempfile
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..comparison import (
     ComparisonSpec,
@@ -86,6 +79,7 @@ from ..netlist import (
     scratch_topological_order,
 )
 from ..netlist.equivalence import EquivalenceStatus, formally_equivalent
+from ..obs import Registry
 from ..pdf import RobustCriterion, robust_faults_detected, simulate_pair
 from ..analysis import AnalysisSession, enumerate_paths
 from ..sim.logicsim import simulate
@@ -392,12 +386,16 @@ class ResynthOracle(Oracle):
         return violations
 
 
+# --------------------------------------------------------------------- #
+# determinism legs: one reference run vs every other execution path
+# --------------------------------------------------------------------- #
+
+
 def netlist_dump(circuit: Circuit):
     """A bit-comparable structural dump (topo-ordered gates + outputs).
 
     Two circuits with equal dumps are gate-for-gate, name-for-name,
-    order-for-order identical — the comparison the ``parallel`` and
-    ``resume`` determinism oracles run on result netlists.
+    order-for-order identical.
     """
     return (
         [
@@ -409,628 +407,416 @@ def netlist_dump(circuit: Circuit):
     )
 
 
-# --------------------------------------------------------------------- #
-# parallel: serial sweep vs worker-pool sweep
-# --------------------------------------------------------------------- #
+def report_numbers(report) -> Dict[str, object]:
+    """The deterministic numbers of a resynthesis or sweep report.
 
-
-class ParallelOracle(Oracle):
-    """Backend equivalence of the resynthesis procedures.
-
-    Runs Procedures 2 and 3 on every fan-out path against the ``jobs=1``
-    serial reference — a local worker pool (``jobs=2``) and, when
-    enabled, a :class:`~repro.fabric.RemoteFabric` over a real
-    in-process service server at pinned shard counts 1 and 2 — and
-    requires the reports and the resulting netlists to agree bit for bit
-    (the :mod:`repro.parallel` / :mod:`repro.fabric` determinism
-    contract; docs/FABRIC.md).  The process-global identification cache
-    is cleared before each run: without that, the serial run would
-    pre-answer every question the workers are supposed to answer, and a
-    wrong worker-side result could never be observed.
-
-    The remote legs cross the full JSON wire (``POST /tasks`` on a
-    ``task_workers=1`` server), so the oracle also fuzzes the codecs of
-    :mod:`repro.fabric.tasks` with generated circuits.
+    A :class:`~repro.resynth.ResynthesisReport` gives its
+    :data:`~repro.resynth.REPORT_NUMBER_FIELDS`; a
+    :class:`~repro.sweep.SweepReport` gives ``<cell_id>.<field>`` for
+    every :data:`~repro.sweep.SWEEP_ROW_NUMBER_FIELDS` entry of every
+    row (the netlist fingerprint among them), plus its ``front``.
     """
+    from ..resynth import REPORT_NUMBER_FIELDS
+    from ..sweep import SWEEP_ROW_NUMBER_FIELDS, SweepReport
+
+    if isinstance(report, SweepReport):
+        numbers: Dict[str, object] = {
+            f"{row['cell_id']}.{f}": row[f]
+            for row in report.rows for f in SWEEP_ROW_NUMBER_FIELDS
+        }
+        numbers["front"] = report.front
+        return numbers
+    return {f: getattr(report, f) for f in REPORT_NUMBER_FIELDS}
+
+
+def report_divergence(reference, report) -> List[str]:
+    """What *report* does not share with *reference* (empty: nothing).
+
+    Every :func:`report_numbers` entry is compared, in the reference's
+    order (a sweep cell on one side only diverges too).  When all numbers
+    of two resynthesis reports agree, their result netlists are compared
+    with :func:`netlist_dump` and reported as ``"netlist"``.  This is the
+    determinism contract every backend, resume, memo and sweep leg keeps
+    (docs/VERIFICATION.md).
+    """
+    ref, got = report_numbers(reference), report_numbers(report)
+    diverged = [key for key in dict.fromkeys([*ref, *got])
+                if ref.get(key) != got.get(key)]
+    if not diverged and hasattr(reference, "circuit") and (
+            netlist_dump(reference.circuit)
+            != netlist_dump(report.circuit)):
+        diverged = ["netlist"]
+    return diverged
+
+
+@dataclass
+class Leg:
+    """One execution path compared with the reference run: ``run``
+    returns its report, ``check`` its own problems with that report."""
+
+    label: str
+    run: Callable[[], object]
+    check: Callable[[object], List[str]] = lambda report: []
+
+
+class LegEnv(ExitStack):
+    """Per-check state of a :class:`LegOracle`.
+
+    Scratch directories and the loopback task server of the remote legs
+    live on this exit stack, so both are gone when the check ends.  Each
+    fabric is open only for the run of its leg.
+    """
+
+    def __init__(self, circuit: Circuit, seed: int, salt: int) -> None:
+        super().__init__()
+        self.circuit = circuit
+        self.seed = seed
+        self.rng = random.Random((seed << 16) ^ salt)
+        self.reference_missed = False  # of the identification cache
+        self.call: Optional[Callable] = None  # procedure, knobs bound
+        self.checkpoints: List[object] = []  # of the reference run
+        self.spec = None  # the sweep oracle's grid
+        self._url: Optional[str] = None
+
+    def tempdir(self) -> str:
+        return self.enter_context(
+            tempfile.TemporaryDirectory(prefix="repro-fuzz-"))
+
+    def remote_fabric(self, shards: int, registry=None):
+        """A fabric over the loopback ``task_workers=1`` server, which
+        is started on first use."""
+        from ..fabric.remote import RemoteFabric
+        from ..service import ArtifactStore, ServiceServer
+
+        if self._url is None:
+            server = ServiceServer(ArtifactStore(self.tempdir()),
+                                   task_workers=1)
+            self._url = self.enter_context(server).url
+        return RemoteFabric([self._url], shards=shards,
+                            heartbeat_timeout=60.0, registry=registry)
+
+
+#: Worker processes of the ``jobs`` and ``process`` legs.
+LEG_JOBS = 2
+#: Shard counts of the ``parallel`` oracle's remote legs.
+REMOTE_SHARDS = (1, 2)
+
+
+@dataclass
+class LegOracle(Oracle):
+    """The shared driver of the four determinism oracles.
+
+    For each subject — Procedures 2 and 3, or the grid for ``sweep`` —
+    it runs the reference, checks the reference's own invariants, then
+    runs every leg of :meth:`legs`.  Every run is cold: the process-global
+    identification cache is cleared around it, because a warm in-process
+    tier would pre-answer every question the leg's workers, memo or
+    checkpoint are supposed to answer, and a wrong answer could never be
+    observed.  Each leg is compared with :func:`report_divergence`, then
+    checked by its own ``check``.  Every problem becomes one
+    :class:`Violation` whose ``details`` hold the ``subject``, the
+    ``leg``, the ``diverged`` names and both sides' numbers.
+    """
+
+    salt = 0  # mixed into the seed of the per-check ``env.rng``
+
+    k: int = 4
+    perm_budget: int = 24
+    max_passes: int = 2
+    max_inputs: int = 8
+
+    def subjects(self, env: LegEnv) -> Iterator[Tuple[str, Callable]]:
+        """``(name, reference run)`` per subject."""
+        from ..resynth import procedure2, procedure3
+
+        for proc in (procedure2, procedure3):
+            env.call = functools.partial(
+                proc, env.circuit, seed=env.seed, k=self.k,
+                perm_budget=self.perm_budget, max_passes=self.max_passes,
+                verify_patterns=0)
+            env.checkpoints = []
+            yield proc.__name__, functools.partial(
+                env.call, on_pass=env.checkpoints.append)
+
+    def legs(self, env: LegEnv) -> Iterator[Leg]:
+        """The legs compared with the current subject's reference.
+
+        The driver runs each leg before it pulls the next one, so legs
+        may depend on the side effects of earlier legs (the memo legs
+        share one store directory, filled by the ``cold`` leg).
+        """
+        raise NotImplementedError
+
+    def reference_problems(self, reference) -> List[str]:
+        """Invariants of the reference run itself (none by default)."""
+        return []
+
+    def check_circuit(self, circuit: Circuit, seed: int) -> List[Violation]:
+        from ..comparison import identification_cache
+
+        if len(circuit.inputs) > self.max_inputs:
+            return []
+        cache = identification_cache()
+        violations: List[Violation] = []
+
+        def cold(run):
+            cache.clear()
+            try:
+                return run()
+            finally:
+                cache.clear()
+
+        def violation(subject, label, message, reference, report,
+                      diverged=()):
+            violations.append(Violation(
+                self.name, seed, f"{subject} [{label}]: {message}",
+                circuit=circuit,
+                details={"subject": subject, "leg": label,
+                         "diverged": list(diverged),
+                         "numbers": {"reference": report_numbers(reference),
+                                     label: report_numbers(report)}},
+            ))
+
+        with LegEnv(circuit, seed, self.salt) as env:
+            for subject, run_reference in self.subjects(env):
+                misses = cache.misses
+                reference = cold(run_reference)
+                env.reference_missed = cache.misses > misses
+                for message in self.reference_problems(reference):
+                    violation(subject, "reference", message, reference,
+                              reference)
+                for leg in self.legs(env):
+                    report = cold(leg.run)
+                    diverged = report_divergence(reference, report)
+                    problems = list(leg.check(report))
+                    if diverged:
+                        problems.insert(0, f"diverged from the reference "
+                                           f"on: {', '.join(diverged)}")
+                    for message in problems:
+                        violation(subject, leg.label, message, reference,
+                                  report, diverged)
+        return violations
+
+
+class ParallelOracle(LegOracle):
+    """Backend equivalence (docs/FABRIC.md).  The remote legs cross the
+    JSON wire, so the codecs of :mod:`repro.fabric.tasks` are fuzzed too."""
 
     name = "parallel"
 
-    def __init__(
-        self,
-        k: int = 4,
-        perm_budget: int = 24,
-        max_passes: int = 2,
-        max_inputs: int = 8,
-        jobs: int = 2,
-        remote: bool = True,
-        remote_shards: Tuple[int, ...] = (1, 2),
-    ) -> None:
-        self._k = k
-        self._perm_budget = perm_budget
-        self._max_passes = max_passes
-        self._max_inputs = max_inputs
-        self._jobs = jobs
-        self._remote = remote
-        self._remote_shards = tuple(remote_shards)
-        self._server = None
+    def legs(self, env: LegEnv) -> Iterator[Leg]:
+        yield self._fabric_leg(env, f"jobs={LEG_JOBS}", jobs=LEG_JOBS)
+        for shards in REMOTE_SHARDS:
+            yield self._fabric_leg(
+                env, f"remote shards={shards}",
+                functools.partial(env.remote_fabric, shards))
 
-    def _server_url(self) -> str:
-        """One lazily started task server shared by every remote leg."""
-        if self._server is None:
-            import tempfile
+    @staticmethod
+    def _fabric_leg(env: LegEnv, label: str, make_fabric=None,
+                    **kwargs) -> Leg:
+        """A leg fanning candidate evaluation out over a fabric.
 
-            from ..service import ArtifactStore, ServiceServer
+        ``make_fabric(registry)`` builds the backend, open only for the
+        leg's run (None: the procedure owns its pool).  The fabric must
+        run a task whenever the reference missed the identification
+        cache — an idle fabric means the planner never primed and the leg
+        only re-ran the serial path — and ``timings["fabric"]`` must name
+        the backend handed in.
+        """
+        registry = Registry()
+        fabric = make_fabric(registry) if make_fabric else None
+        backend = getattr(fabric, "name", None)
 
-            root = tempfile.mkdtemp(prefix="repro-fuzz-fabric-")
-            self._server = ServiceServer(ArtifactStore(root),
-                                         task_workers=1)
-            self._server.start()
-        return self._server.url
+        def run():
+            with fabric or nullcontext():
+                return env.call(registry=registry, fabric=fabric, **kwargs)
 
-    def _legs(self):
-        """``(label, procedure-kwargs factory)`` per non-reference leg."""
-        legs = [(f"jobs={self._jobs}", lambda: {"jobs": self._jobs})]
-        if self._remote:
-            from ..fabric.remote import RemoteFabric
+        def check(report) -> List[str]:
+            problems = []
+            if env.reference_missed and not registry.counter_value(
+                    "fabric_tasks_total"):
+                problems.append("the fabric ran no tasks although the "
+                                "reference missed the identification cache")
+            if report.timings.get("fabric") != backend:
+                problems.append(f"report timings name the backend "
+                                f"{report.timings.get('fabric')!r}, "
+                                f"not {backend!r}")
+            return problems
 
-            for shards in self._remote_shards:
-                legs.append((
-                    f"remote shards={shards}",
-                    lambda shards=shards: {"fabric": RemoteFabric(
-                        [self._server_url()], shards=shards,
-                        heartbeat_timeout=60.0)},
-                ))
-        return legs
-
-    def check_circuit(self, circuit: Circuit, seed: int) -> List[Violation]:
-        from ..comparison import identification_cache
-        from ..resynth import procedure2, procedure3
-
-        if len(circuit.inputs) > self._max_inputs:
-            return []
-        violations: List[Violation] = []
-        common = dict(
-            k=self._k,
-            perm_budget=self._perm_budget,
-            seed=seed,
-            max_passes=self._max_passes,
-            verify_patterns=0,
-        )
-        numbers = (
-            "passes", "replacements", "gates_before", "gates_after",
-            "paths_before", "paths_after",
-        )
-        for proc in (procedure2, procedure3):
-            identification_cache().clear()
-            serial = proc(circuit, **common)
-            for label, make_kwargs in self._legs():
-                identification_cache().clear()
-                kwargs = make_kwargs()
-                fabric = kwargs.get("fabric")
-                try:
-                    leg = proc(circuit, **common, **kwargs)
-                finally:
-                    if fabric is not None:
-                        fabric.close()
-                diverged = [
-                    f for f in numbers
-                    if getattr(serial, f) != getattr(leg, f)
-                ]
-                if not diverged and (
-                    netlist_dump(serial.circuit)
-                    != netlist_dump(leg.circuit)
-                ):
-                    diverged = ["netlist"]
-                if diverged:
-                    violations.append(Violation(
-                        self.name, seed,
-                        f"{proc.__name__} diverged between jobs=1 and "
-                        f"{label} on: {', '.join(diverged)} "
-                        f"(serial: {serial.summary()}; "
-                        f"{label}: {leg.summary()})",
-                        circuit=circuit,
-                        details={
-                            "procedure": proc.__name__,
-                            "diverged": diverged,
-                            "leg": label,
-                            "serial": {
-                                f: getattr(serial, f) for f in numbers
-                            },
-                            label: {f: getattr(leg, f) for f in numbers},
-                        },
-                    ))
-            identification_cache().clear()
-        return violations
+        return Leg(label, run, check)
 
 
-# --------------------------------------------------------------------- #
-# resume: straight-through sweep vs kill-at-a-pass + checkpoint resume
-# --------------------------------------------------------------------- #
-
-
-class ResumeOracle(Oracle):
-    """Checkpoint/resume equivalence of the resynthesis procedures.
-
-    Runs Procedures 2 and 3 straight through while collecting every
-    pass-boundary checkpoint, then simulates a worker killed after a
-    seed-chosen pass: the checkpoint is round-tripped through its JSON
-    serialization (so the oracle also fuzzes
-    :mod:`repro.resynth.serialize`), the process-global identification
-    cache is cleared (a restarted worker is cold), and the run is
-    resumed.  The resumed report must match the uninterrupted one on
-    every deterministic field and the result netlists must agree bit for
-    bit — the contract that makes the job service's crash recovery
-    invisible in its results (docs/SERVICE.md).
-    """
+@dataclass
+class ResumeOracle(LegOracle):
+    """Checkpoint/resume equivalence (docs/SERVICE.md); the JSON round
+    trip of the checkpoint fuzzes :mod:`repro.resynth.serialize` too."""
 
     name = "resume"
+    salt = 0x2E5E
+    max_passes: int = 3
 
-    def __init__(
-        self,
-        k: int = 4,
-        perm_budget: int = 24,
-        max_passes: int = 3,
-        max_inputs: int = 8,
-    ) -> None:
-        self._k = k
-        self._perm_budget = perm_budget
-        self._max_passes = max_passes
-        self._max_inputs = max_inputs
+    def legs(self, env: LegEnv) -> Iterator[Leg]:
+        from ..resynth import checkpoint_from_json, checkpoint_to_json
 
-    def check_circuit(self, circuit: Circuit, seed: int) -> List[Violation]:
-        from ..comparison import identification_cache
-        from ..resynth import (
-            REPORT_NUMBER_FIELDS,
-            checkpoint_from_json,
-            checkpoint_to_json,
-            procedure2,
-            procedure3,
-        )
-
-        if len(circuit.inputs) > self._max_inputs:
-            return []
-        violations: List[Violation] = []
-        rng = random.Random((seed << 16) ^ 0x2E5E)
-        for proc in (procedure2, procedure3):
-            checkpoints = []
-            identification_cache().clear()
-            straight = proc(
-                circuit,
-                k=self._k,
-                perm_budget=self._perm_budget,
-                seed=seed,
-                max_passes=self._max_passes,
-                verify_patterns=0,
-                on_pass=checkpoints.append,
-            )
-            if not checkpoints:
-                continue  # cannot happen (>=1 pass always runs); defensive
-            kill_after = rng.choice(checkpoints)
-            restored = checkpoint_from_json(checkpoint_to_json(kill_after))
-            identification_cache().clear()
-            resumed = proc(
-                circuit,
-                k=self._k,
-                perm_budget=self._perm_budget,
-                seed=seed,
-                max_passes=self._max_passes,
-                verify_patterns=0,
-                resume=restored,
-            )
-            identification_cache().clear()
-            diverged = [
-                f for f in REPORT_NUMBER_FIELDS
-                if getattr(straight, f) != getattr(resumed, f)
-            ]
-            if not diverged and (
-                netlist_dump(straight.circuit)
-                != netlist_dump(resumed.circuit)
-            ):
-                diverged = ["netlist"]
-            if diverged:
-                violations.append(Violation(
-                    self.name, seed,
-                    f"{proc.__name__} diverged after resume from the "
-                    f"pass-{kill_after.pass_no} checkpoint on: "
-                    f"{', '.join(diverged)} "
-                    f"(straight: {straight.summary()}; "
-                    f"resumed: {resumed.summary()})",
-                    circuit=circuit,
-                    details={
-                        "procedure": proc.__name__,
-                        "diverged": diverged,
-                        "killed_after_pass": kill_after.pass_no,
-                        "straight": {
-                            f: getattr(straight, f)
-                            for f in REPORT_NUMBER_FIELDS
-                        },
-                        "resumed": {
-                            f: getattr(resumed, f)
-                            for f in REPORT_NUMBER_FIELDS
-                        },
-                    },
-                ))
-        return violations
+        killed = env.rng.choice(env.checkpoints)
+        restored = checkpoint_from_json(checkpoint_to_json(killed))
+        yield Leg(f"resume after pass {killed.pass_no}",
+                  lambda: env.call(resume=restored))
 
 
-# --------------------------------------------------------------------- #
-# memo: cold sweep vs persistent-identification-cache sweep
-# --------------------------------------------------------------------- #
-
-
-class MemoOracle(Oracle):
-    """Cached ≡ cold equivalence of the persistent identification memo.
-
-    For Procedures 2 and 3, a memo-less baseline run is compared bit for
-    bit (every :data:`~repro.resynth.REPORT_NUMBER_FIELDS` entry plus the
-    result netlist) against five memo-assisted runs on one shared
-    :class:`repro.memo.MemoStore` directory:
-
-    1. ``cold`` — an empty store being *written* (recording must not
-       perturb the sweep);
-    2. ``warm`` — a fresh store instance over the now-populated
-       directory (every identification answered from disk); the oracle
-       also demands a nonzero hit count, so a silently dead cache cannot
-       pass;
-    3. ``roundtrip`` — warm again, after every entry file is re-parsed
-       and re-serialized with different JSON formatting (the store's
-       value encoding must survive the round trip exactly);
-    4. ``jobs`` — a ``jobs=2`` run over the warm store (the parallel
-       primer consults the memo before shipping searches);
-    5. ``resume`` — a warm-store run resumed from a seed-chosen
-       pass-boundary checkpoint of the baseline.
-
-    The process-global identification cache is cleared before every leg:
-    without that, the in-process tier would pre-answer every question the
-    memo is supposed to answer, and a wrong stored result could never be
-    observed.
-    """
+class MemoOracle(LegOracle):
+    """Cached ≡ cold (docs/MEMO.md): five runs on one :mod:`repro.memo`
+    store directory against the memo-less reference."""
 
     name = "memo"
+    salt = 0x3E30
 
-    def __init__(
-        self,
-        k: int = 4,
-        perm_budget: int = 24,
-        max_passes: int = 2,
-        max_inputs: int = 8,
-        jobs: int = 2,
-    ) -> None:
-        self._k = k
-        self._perm_budget = perm_budget
-        self._max_passes = max_passes
-        self._max_inputs = max_inputs
-        self._jobs = jobs
+    def legs(self, env: LegEnv) -> Iterator[Leg]:
+        from ..memo import MemoStore
 
-    def _run(self, proc, circuit: Circuit, seed: int, **kw):
-        from ..comparison import identification_cache
-
-        identification_cache().clear()
-        return proc(
-            circuit,
-            k=self._k,
-            perm_budget=self._perm_budget,
-            seed=seed,
-            max_passes=self._max_passes,
-            verify_patterns=0,
-            **kw,
-        )
+        root = env.tempdir()
+        cold = MemoStore(root)
+        yield Leg("cold", lambda: env.call(memo=cold))
+        warm = MemoStore(root)
+        yield Leg("warm", lambda: env.call(memo=warm),
+                  lambda report: self._warm_problems(cold, warm))
+        yield Leg("roundtrip",
+                  lambda: env.call(memo=self._roundtrip_store(root)))
+        yield Leg("jobs", lambda: env.call(memo=MemoStore(root),
+                                           jobs=LEG_JOBS))
+        resume = env.rng.choice(env.checkpoints)
+        yield Leg("resume", lambda: env.call(memo=MemoStore(root),
+                                             resume=resume))
 
     @staticmethod
-    def _roundtrip_store(root: str) -> None:
-        """Re-serialize every entry file with different formatting."""
-        entries = os.path.join(root, "entries")
-        for dirpath, _dirs, names in os.walk(entries):
-            for fname in names:
-                if not fname.endswith(".json"):
-                    continue
-                path = os.path.join(dirpath, fname)
-                with open(path, "r", encoding="utf-8") as fh:
-                    doc = json.load(fh)
-                with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(doc, fh, separators=(",", ":"),
-                              sort_keys=False)
+    def _warm_problems(cold, warm) -> List[str]:
+        """A dead cache must not pass: the warm serial leg asks exactly
+        the questions the cold leg recorded, so it hits and never misses.
+        (The ``jobs`` leg may miss: its primer enumerates pass-start
+        cones the serial sweep never reached.)"""
+        problems = []
+        if cold.stats.puts and not warm.stats.hits:
+            problems.append(f"warm store served no hits "
+                            f"({cold.stats.puts} results were recorded)")
+        if warm.stats.misses:
+            problems.append(f"warm store missed {warm.stats.misses} "
+                            f"lookups the cold leg should have recorded")
+        return problems
 
-    def check_circuit(self, circuit: Circuit, seed: int) -> List[Violation]:
-        from ..comparison import identification_cache
+    @staticmethod
+    def _roundtrip_store(root: str):
+        """Re-serialize every entry file with different formatting;
+        return a fresh store over the result."""
         from ..memo import MemoStore
-        from ..resynth import REPORT_NUMBER_FIELDS, procedure2, procedure3
 
-        if len(circuit.inputs) > self._max_inputs:
-            return []
-        violations: List[Violation] = []
-        rng = random.Random((seed << 16) ^ 0x3E30)
-        for proc in (procedure2, procedure3):
-            with tempfile.TemporaryDirectory(prefix="memo-oracle-") as root:
-                checkpoints = []
-                baseline = self._run(proc, circuit, seed,
-                                     on_pass=checkpoints.append)
-                cold_store = MemoStore(root)
-                legs = [("cold", self._run(
-                    proc, circuit, seed, memo=cold_store))]
-                warm_store = MemoStore(root)
-                legs.append(("warm", self._run(
-                    proc, circuit, seed, memo=warm_store)))
-                if cold_store.stats.puts and not warm_store.stats.hits:
-                    violations.append(Violation(
-                        self.name, seed,
-                        f"{proc.__name__}: warm store served no hits "
-                        f"({cold_store.stats.puts} results were recorded)",
-                        circuit=circuit,
-                        details={"procedure": proc.__name__,
-                                 "puts": cold_store.stats.puts},
-                    ))
-                self._roundtrip_store(root)
-                legs.append(("roundtrip", self._run(
-                    proc, circuit, seed, memo=MemoStore(root))))
-                legs.append(("jobs", self._run(
-                    proc, circuit, seed, memo=MemoStore(root),
-                    jobs=self._jobs)))
-                if checkpoints:
-                    resume_from = rng.choice(checkpoints)
-                    legs.append(("resume", self._run(
-                        proc, circuit, seed, memo=MemoStore(root),
-                        resume=resume_from)))
-                identification_cache().clear()
-                base_dump = netlist_dump(baseline.circuit)
-                for leg, report in legs:
-                    diverged = [
-                        f for f in REPORT_NUMBER_FIELDS
-                        if getattr(baseline, f) != getattr(report, f)
-                    ]
-                    if not diverged and (
-                        netlist_dump(report.circuit) != base_dump
-                    ):
-                        diverged = ["netlist"]
-                    if diverged:
-                        violations.append(Violation(
-                            self.name, seed,
-                            f"{proc.__name__} diverged between the "
-                            f"memo-less baseline and the {leg!r} memo leg "
-                            f"on: {', '.join(diverged)} "
-                            f"(baseline: {baseline.summary()}; "
-                            f"{leg}: {report.summary()})",
-                            circuit=circuit,
-                            details={
-                                "procedure": proc.__name__,
-                                "leg": leg,
-                                "diverged": diverged,
-                                "baseline": {
-                                    f: getattr(baseline, f)
-                                    for f in REPORT_NUMBER_FIELDS
-                                },
-                                leg: {
-                                    f: getattr(report, f)
-                                    for f in REPORT_NUMBER_FIELDS
-                                },
-                            },
-                        ))
-        return violations
+        for path in glob.glob(os.path.join(root, "entries", "*", "*.json")):
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, separators=(",", ":"))
+        return MemoStore(root)
 
 
-# --------------------------------------------------------------------- #
-# sweep: backend/resume equivalence of whole sweep grids + front check
-# --------------------------------------------------------------------- #
-
-
-class SweepOracle(Oracle):
-    """Backend, resume and front invariants of :mod:`repro.sweep`.
-
-    Builds a small grid over the fuzz circuit (inline netlist x
-    Procedures 2 and 3 x two K values) and runs it through every
-    :class:`~repro.sweep.SweepRunner` backend — serial (the reference),
-    a process pool, and a :class:`~repro.fabric.RemoteFabric` over a
-    real in-process service server (so each ``resynth_cell`` task
-    crosses the full JSON wire) — plus a **resume** leg: a finished
-    serial sweep with a seed-chosen subset of its cell files deleted,
-    re-run with ``resume=True``, which must re-execute exactly the
-    deleted cells and nothing else.  Every leg's report rows must agree
-    with the reference on :data:`~repro.sweep.SWEEP_ROW_NUMBER_FIELDS`
-    and on the front.
-
-    Independently of leg agreement, the reference front itself is
-    checked against a from-scratch dominance scan written here (not the
-    library's :func:`~repro.sweep.pareto_front`), and one seed-chosen
-    cell is re-run as a *standalone* procedure call to pin the cell ==
-    job bit-identity contract (docs/SWEEP.md).
-    """
+class SweepOracle(LegOracle):
+    """Backend, resume, cell ≡ job and front invariants of
+    :mod:`repro.sweep` (docs/SWEEP.md) on a grid over the fuzz circuit,
+    with ``ks = (k - 1, k)``."""
 
     name = "sweep"
+    salt = 0x53EE
 
-    def __init__(
-        self,
-        ks: Tuple[int, ...] = (3, 4),
-        perm_budget: int = 24,
-        max_passes: int = 2,
-        max_inputs: int = 8,
-        remote: bool = True,
-    ) -> None:
-        self._ks = tuple(ks)
-        self._perm_budget = perm_budget
-        self._max_passes = max_passes
-        self._max_inputs = max_inputs
-        self._remote = remote
-        self._server = None
+    def subjects(self, env: LegEnv) -> Iterator[Tuple[str, Callable]]:
+        from ..io.json_io import circuit_to_json
+        from ..sweep import SweepSpec
 
-    def _server_url(self) -> str:
-        """One lazily started task server shared by every remote leg."""
-        if self._server is None:
-            from ..service import ArtifactStore, ServiceServer
-
-            root = tempfile.mkdtemp(prefix="repro-fuzz-sweep-")
-            self._server = ServiceServer(ArtifactStore(root),
-                                         task_workers=1)
-            self._server.start()
-        return self._server.url
+        env.spec = SweepSpec(
+            circuits=(json.loads(circuit_to_json(env.circuit)),),
+            procedures=("procedure2", "procedure3"), ks=(self.k - 1, self.k),
+            seeds=(env.seed,), perm_budget=self.perm_budget,
+            max_passes=self.max_passes, verify_patterns=0)
+        yield "sweep", lambda: self._sweep(env)
 
     @staticmethod
-    def _brute_force_front(rows: List[Dict[str, object]]) -> set:
-        """Independent dominance scan (the referee for the front)."""
-        front = set()
-        for row in rows:
-            a = (row["gates_after"], row["paths_after"], row["depth"])
-            dominated = False
-            for other in rows:
-                if other is row:
-                    continue
-                b = (other["gates_after"], other["paths_after"],
-                     other["depth"])
-                if b[0] <= a[0] and b[1] <= a[1] and b[2] <= a[2] \
-                        and b != a:
-                    dominated = True
-                    break
-            if not dominated:
-                front.add(row["cell_id"])
-        return front
-
-    def _run_leg(self, spec, root: str, fabric=None, resume: bool = False,
-                 on_cell=None):
-        from ..comparison import identification_cache
+    def _sweep(env: LegEnv, fabric=None, root=None, **run_kwargs):
         from ..sweep import SweepRunner
 
-        identification_cache().clear()
-        try:
-            return SweepRunner(spec, root, fabric=fabric).run(
-                resume=resume, on_cell=on_cell)
-        finally:
-            if fabric is not None:
-                fabric.close()
+        with fabric or nullcontext():
+            return SweepRunner(env.spec, root or env.tempdir(),
+                               fabric=fabric).run(**run_kwargs)
 
-    def check_circuit(self, circuit: Circuit, seed: int) -> List[Violation]:
-        import shutil
+    def reference_problems(self, reference) -> List[str]:
+        """The front vs a dominance scan written here, independently of
+        the library's :func:`~repro.sweep.pareto_front`."""
+        def point(row):
+            return (row["gates_after"], row["paths_after"], row["depth"])
 
-        from ..comparison import identification_cache
+        problems = []
+        for name, front in reference.front.items():
+            rows = [row for row in reference.rows if row["circuit"] == name]
+            expected = {row["cell_id"] for row in rows if not any(
+                point(other) != point(row)
+                and all(b <= a for a, b in zip(point(row), point(other)))
+                for other in rows)}
+            if set(front) != expected:
+                problems.append(
+                    f"Pareto front of {name!r} disagrees with the "
+                    f"brute-force dominance scan: {sorted(front)} vs "
+                    f"{sorted(expected)}")
+        return problems
+
+    def legs(self, env: LegEnv) -> Iterator[Leg]:
         from ..fabric import ProcessFabric
-        from ..io.json_io import circuit_to_json
-        from ..service.runner import procedure_call
-        from ..sweep import SWEEP_ROW_NUMBER_FIELDS, SweepSpec, cell_row
 
-        if len(circuit.inputs) > self._max_inputs:
-            return []
-        netlist = json.loads(circuit_to_json(circuit))
-        spec = SweepSpec(
-            circuits=(netlist,),
-            procedures=("procedure2", "procedure3"),
-            ks=self._ks,
-            seeds=(seed,),
-            perm_budget=self._perm_budget,
-            max_passes=self._max_passes,
-            verify_patterns=0,
-        )
-        rng = random.Random((seed << 16) ^ 0x53EE)
-        violations: List[Violation] = []
-        work = tempfile.mkdtemp(prefix="repro-fuzz-sweepdir-")
-        try:
-            reference = self._run_leg(spec, os.path.join(work, "serial"))
-            legs = [("process jobs=2", self._run_leg(
-                spec, os.path.join(work, "process"),
-                fabric=ProcessFabric(2)))]
-            if self._remote:
-                from ..fabric.remote import RemoteFabric
+        yield Leg(f"process jobs={LEG_JOBS}", lambda: self._sweep(
+            env, ProcessFabric(LEG_JOBS)))
+        yield Leg("remote shards=2", lambda: self._sweep(
+            env, env.remote_fabric(2)))
+        yield self._resume_leg(env)
+        yield Leg("standalone", lambda: self._standalone(env))
 
-                legs.append(("remote shards=2", self._run_leg(
-                    spec, os.path.join(work, "remote"),
-                    fabric=RemoteFabric([self._server_url()], shards=2,
-                                        heartbeat_timeout=60.0))))
-            # Resume leg: finish serially, delete a cell subset + the
-            # aggregate, re-run with resume=True; only deleted cells may
-            # re-execute.
-            resume_root = os.path.join(work, "resume")
-            self._run_leg(spec, resume_root)
-            cells = spec.cells()
-            victims = sorted(
-                {rng.choice(cells).cell_id for _ in range(2)})
+    def _resume_leg(self, env: LegEnv) -> Leg:
+        """Finish serially, delete two seed-chosen cells and the
+        aggregate, re-run with ``resume=True``."""
+        from ..comparison import identification_cache
+
+        victims = sorted({env.rng.choice(env.spec.cells()).cell_id
+                          for _ in range(2)})
+        executed: List[str] = []
+
+        def run():
+            root = env.tempdir()
+            self._sweep(env, root=root)
             for cell_id in victims:
-                os.unlink(os.path.join(resume_root, "cells",
-                                       f"{cell_id}.json"))
-            os.unlink(os.path.join(resume_root, "report.json"))
-            executed: List[str] = []
-            resumed = self._run_leg(
-                spec, resume_root, resume=True,
-                on_cell=lambda cell, doc: executed.append(cell.cell_id))
-            if sorted(executed) != victims:
-                violations.append(Violation(
-                    self.name, seed,
-                    f"resumed sweep re-ran {sorted(executed)} instead of "
-                    f"exactly the deleted cells {victims}",
-                    circuit=circuit,
-                    details={"executed": sorted(executed),
-                             "deleted": victims},
-                ))
-            legs.append(("resumed", resumed))
-            # Leg agreement on the deterministic row fields and front.
-            ref_rows = {row["cell_id"]: row for row in reference.rows}
-            for label, leg in legs:
-                for row in leg.rows:
-                    ref = ref_rows.get(row["cell_id"])
-                    diverged = [
-                        f for f in SWEEP_ROW_NUMBER_FIELDS
-                        if ref is None or ref[f] != row[f]
-                    ]
-                    if diverged:
-                        violations.append(Violation(
-                            self.name, seed,
-                            f"sweep cell {row['cell_id']} diverged "
-                            f"between serial and {label} on: "
-                            f"{', '.join(diverged)}",
-                            circuit=circuit,
-                            details={"leg": label, "cell": row["cell_id"],
-                                     "diverged": diverged,
-                                     "serial": ref, label: row},
-                        ))
-                if leg.front != reference.front:
-                    violations.append(Violation(
-                        self.name, seed,
-                        f"sweep front diverged between serial and "
-                        f"{label}: {reference.front} vs {leg.front}",
-                        circuit=circuit,
-                        details={"leg": label,
-                                 "serial": reference.front,
-                                 label: leg.front},
-                    ))
-            # The reference front vs an independent dominance scan.
-            for name, front_ids in reference.front.items():
-                group = [row for row in reference.rows
-                         if row["circuit"] == name]
-                expected = self._brute_force_front(group)
-                if set(front_ids) != expected:
-                    violations.append(Violation(
-                        self.name, seed,
-                        f"Pareto front of {name!r} disagrees with the "
-                        f"brute-force dominance scan: {sorted(front_ids)}"
-                        f" vs {sorted(expected)}",
-                        circuit=circuit,
-                        details={"circuit": name,
-                                 "front": sorted(front_ids),
-                                 "brute_force": sorted(expected)},
-                    ))
-            # One cell vs a standalone procedure run (cell == job).
-            probe = rng.choice(cells)
+                os.unlink(os.path.join(root, "cells", f"{cell_id}.json"))
+            os.unlink(os.path.join(root, "report.json"))
             identification_cache().clear()
-            from ..service.jobspec import resolve_circuit
+            return self._sweep(env, root=root, resume=True,
+                               on_cell=lambda cell, doc:
+                               executed.append(cell.cell_id))
 
-            standalone = procedure_call(probe.spec)(
-                resolve_circuit(probe.spec))
-            from ..resynth.serialize import report_to_doc
+        def check(report) -> List[str]:
+            if sorted(executed) == victims:
+                return []
+            return [f"resumed sweep re-ran {sorted(executed)} instead of "
+                    f"exactly the deleted cells {victims}"]
 
-            standalone_row = cell_row(probe, report_to_doc(standalone))
-            ref = ref_rows[probe.cell_id]
-            diverged = [f for f in SWEEP_ROW_NUMBER_FIELDS
-                        if ref[f] != standalone_row[f]]
-            if diverged:
-                violations.append(Violation(
-                    self.name, seed,
-                    f"sweep cell {probe.cell_id} diverged from the "
-                    f"standalone {probe.procedure} run on: "
-                    f"{', '.join(diverged)}",
-                    circuit=circuit,
-                    details={"cell": probe.cell_id, "diverged": diverged,
-                             "sweep": ref, "standalone": standalone_row},
-                ))
+        return Leg("resumed", run, check)
+
+    @staticmethod
+    def _standalone(env: LegEnv):
+        """Every cell run as a standalone job, aggregated like a sweep."""
+        from ..comparison import identification_cache
+        from ..resynth.serialize import report_to_doc
+        from ..service.jobspec import resolve_circuit
+        from ..service.runner import procedure_call
+        from ..sweep.report import build_sweep_report
+
+        docs = {}
+        for cell in env.spec.cells():
             identification_cache().clear()
-        finally:
-            shutil.rmtree(work, ignore_errors=True)
-        return violations
+            docs[cell.cell_id] = report_to_doc(
+                procedure_call(cell.spec)(resolve_circuit(cell.spec)))
+        return build_sweep_report(env.spec, docs)
 
 
 # --------------------------------------------------------------------- #

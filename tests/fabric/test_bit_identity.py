@@ -13,24 +13,10 @@ from repro.benchcircuits.suite import suite_circuit
 from repro.comparison import identification_cache
 from repro.fabric import SerialFabric
 from repro.resynth import procedure2
+from repro.verify import report_divergence
 
 #: Small knobs so the three runs stay seconds-scale.
 KNOBS = dict(k=4, perm_budget=24, seed=3, max_passes=2, verify_patterns=0)
-
-REPORT_FIELDS = ("objective", "k", "passes", "replacements",
-                 "gates_before", "gates_after", "paths_before",
-                 "paths_after")
-
-
-def netlist_dump(circuit):
-    return (
-        [
-            (net, circuit.gate(net).gtype.value,
-             tuple(circuit.gate(net).fanins))
-            for net in circuit.topological_order()
-        ],
-        list(circuit.outputs),
-    )
 
 
 @pytest.fixture(scope="module")
@@ -41,12 +27,6 @@ def baseline():
     return report
 
 
-def assert_identical(report, baseline):
-    for field in REPORT_FIELDS:
-        assert getattr(report, field) == getattr(baseline, field), field
-    assert netlist_dump(report.circuit) == netlist_dump(baseline.circuit)
-
-
 class TestFabricBitIdentity:
     @pytest.mark.parametrize("shards", [1, 3])
     def test_serial_fabric_any_shard_count(self, baseline, shards):
@@ -54,7 +34,7 @@ class TestFabricBitIdentity:
             report = procedure2(suite_circuit("syn1423"),
                                 fabric=fabric, **KNOBS)
         identification_cache().clear()
-        assert_identical(report, baseline)
+        assert report_divergence(baseline, report) == []
         assert report.timings["fabric"] == "serial"
 
     def test_remote_fabric_against_real_server(self, baseline, tmp_path):
@@ -72,5 +52,5 @@ class TestFabricBitIdentity:
         finally:
             server.stop()
         identification_cache().clear()
-        assert_identical(report, baseline)
+        assert report_divergence(baseline, report) == []
         assert report.timings["fabric"] == "remote"
