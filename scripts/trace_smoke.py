@@ -96,7 +96,7 @@ def main():
         if run["attrs"].get("replacements") != report.replacements:
             fail("run span replacement count disagrees with the report")
         names = {s["name"] for s in spans}
-        for expected in ("setup", "candidate", "extract", "identify"):
+        for expected in ("setup", "candidate", "enumerate", "evaluate"):
             if expected not in names:
                 fail(f"span taxonomy missing {expected!r}")
         print(f"taxonomy: run -> {len(passes)} passes ok", flush=True)

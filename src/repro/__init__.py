@@ -16,23 +16,9 @@ Public API highlights
 - :mod:`repro.experiments` drivers that regenerate every paper table
 """
 
-__version__ = "1.0.0"
+import importlib
 
-from . import obs  # noqa: F401
-from . import netlist  # noqa: F401
-from . import io  # noqa: F401
-from . import sim  # noqa: F401
-from . import analysis  # noqa: F401
-from . import comparison  # noqa: F401
-from . import faults  # noqa: F401
-from . import atpg  # noqa: F401
-from . import pdf  # noqa: F401
-from . import resynth  # noqa: F401
-from . import baselines  # noqa: F401
-from . import techmap  # noqa: F401
-from . import benchcircuits  # noqa: F401
-from . import scan  # noqa: F401
-from . import bdd  # noqa: F401
+__version__ = "1.0.0"
 
 __all__ = [
     "analysis",
@@ -52,3 +38,11 @@ __all__ = [
     "techmap",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # Subpackages load on first access (PEP 562), so importing one piece
+    # of the package, such as the job store, does not import them all.
+    if name in __all__ and name != "__version__":
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -90,11 +90,7 @@ def _cmd_resynth(args) -> int:
             "k": args.k, "jobs": args.jobs,
         })
     memo = None
-    if args.memo_url:
-        from .memo import RemoteMemo
-
-        memo = RemoteMemo(args.memo_url)
-    elif args.memo:
+    if args.memo:
         from .memo import MemoStore
 
         memo = MemoStore(args.memo)
@@ -129,14 +125,9 @@ def _cmd_resynth(args) -> int:
               f"({', '.join(args.workers) if args.workers else 'local'})")
     if memo is not None:
         stats = memo.stats
-        if args.memo_url:
-            where = args.memo_url
-            entries = f"{len(memo)} hot row(s)"
-        else:
-            where = args.memo
-            entries = f"{memo.disk_entries} entries"
         print(f"memo: {stats.hits} hit(s), {stats.misses} miss(es), "
-              f"{stats.puts} put(s), {entries} ({where})")
+              f"{stats.puts} put(s), {memo.disk_entries} entries "
+              f"({args.memo})")
     if tracer is not None:
         n_spans = tracer.write_jsonl(args.trace)
         print(f"wrote {args.trace} ({n_spans} spans; "
@@ -389,7 +380,6 @@ def _cmd_serve(args) -> int:
         max_retries=args.retries,
         heartbeat_timeout=args.heartbeat_timeout,
         memo_root=args.memo,
-        memo_url=args.memo_url,
         fabric_workers=tuple(args.fabric_workers),
     )
     if args.tenants:
@@ -589,9 +579,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="persistent identification cache directory "
                         "(shared across runs; results are identical, "
                         "see docs/MEMO.md)")
-    p.add_argument("--memo-url", metavar="URL", default=None,
-                   help="identification memo served by a running service "
-                        "(overrides --memo; docs/MEMO.md)")
     p.add_argument("--fabric", choices=("serial", "process", "remote"),
                    default=None,
                    help="task-execution backend for candidate evaluation "
@@ -692,12 +679,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--heartbeat-timeout", type=float, default=30.0,
                    help="seconds of worker silence before the kill")
     p.add_argument("--memo", metavar="DIR", default=None,
-                   help="shared persistent identification cache served "
-                        "to every worker (opt-in; docs/MEMO.md; also "
-                        "enables the GET/PUT /memo routes)")
-    p.add_argument("--memo-url", metavar="URL", default=None,
-                   help="point this service's job workers at another "
-                        "service's /memo routes instead of a directory")
+                   help="persistent identification cache directory "
+                        "shared by every job worker (opt-in; "
+                        "docs/MEMO.md)")
     p.add_argument("--task-workers", type=int, default=0, metavar="N",
                    help="enable POST /tasks with N-way task execution "
                         "(0 = disabled; 1 = inline; >1 = process pool), "

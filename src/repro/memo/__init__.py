@@ -28,8 +28,6 @@ from .store import (
     MemoStats,
     MemoStore,
     decode_entry_doc,
-    entry_key_tail,
-    validate_key_doc,
 )
 
 __all__ = [
@@ -38,21 +36,9 @@ __all__ = [
     "MEMO_VERSION",
     "MemoStats",
     "MemoStore",
-    "RemoteMemo",
     "decode_entry_doc",
-    "entry_key_tail",
     "memo_key_doc",
     "memo_key_id",
     "table_column_counts",
-    "validate_key_doc",
 ]
 
-
-def __getattr__(name: str):
-    # RemoteMemo pulls in the service HTTP client; loaded lazily so the
-    # plain MemoStore path never pays for (or cycles through) it.
-    if name == "RemoteMemo":
-        from .remote import RemoteMemo
-
-        return RemoteMemo
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -46,7 +46,7 @@ from ..comparison.identify import (
 )
 from ..obs import Registry, get_registry
 from ..persist import atomic_write_text
-from .keys import KEY_FORMAT, MEMO_VERSION, memo_key_doc, memo_key_id
+from .keys import MEMO_VERSION, memo_key_doc, memo_key_id
 
 ENTRY_FORMAT = "repro-memo-entry"
 
@@ -119,60 +119,6 @@ def _decode_result(value: object, n: int) -> PositionResult:
     return (tuple(hits), tried)
 
 
-#: The exact field set of a key document (anything else is rejected).
-_KEY_FIELDS = frozenset(
-    ("format", "version", "n", "on", "cols",
-     "perm_budget", "try_offset", "seed", "max_specs"))
-
-#: Upper bound on a key's input count.  Everything in the pipeline tops
-#: out at K=6; 24 leaves generous headroom while keeping ``1 << (1 << n)``
-#: un-abusable by a hostile PUT (n=1000 would allocate a 2**1000-bit int).
-_MAX_KEY_N = 24
-
-
-def validate_key_doc(doc: object) -> Dict[str, object]:
-    """Structurally validate an *untrusted* key document.
-
-    Returns the document on success; raises :class:`ValueError` on any
-    anomaly.  Used where the key arrives from outside instead of being
-    computed locally — the service's ``PUT /memo/<id>`` route.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError("key document is not an object")
-    if set(doc) != _KEY_FIELDS:
-        raise ValueError("key document has a wrong field set")
-    if doc["format"] != KEY_FORMAT:
-        raise ValueError("not a repro-memo-key document")
-    if doc["version"] != MEMO_VERSION:
-        raise ValueError(f"unsupported key version {doc['version']!r}")
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= _MAX_KEY_N:
-        raise ValueError(f"key input count {n!r} out of range")
-    on = doc["on"]
-    if (not isinstance(on, int) or isinstance(on, bool)
-            or not 0 <= on <= (1 << n)):
-        raise ValueError("key ON-count out of range")
-    cols = doc["cols"]
-    if (not isinstance(cols, list) or len(cols) != n
-            or any(not isinstance(c, int) or isinstance(c, bool)
-                   or not 0 <= c <= (1 << n) for c in cols)
-            or cols != sorted(cols)):
-        raise ValueError("key column counts are not a sorted n-list")
-    for knob in ("perm_budget", "seed", "max_specs"):
-        value = doc[knob]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"key {knob} is not an integer")
-    if not isinstance(doc["try_offset"], bool):
-        raise ValueError("key try_offset is not a boolean")
-    return doc
-
-
-def entry_key_tail(key_doc: Dict[str, object]) -> Tuple:
-    """The non-table part of every raw search key in one entry class."""
-    return (key_doc["n"], key_doc["perm_budget"], key_doc["try_offset"],
-            key_doc["seed"], key_doc["max_specs"])
-
-
 def decode_entry_doc(
     doc: object,
     key_doc: Dict[str, object],
@@ -180,11 +126,9 @@ def decode_entry_doc(
 ) -> Dict[PositionKey, PositionResult]:
     """Strictly decode one entry document against its expected key.
 
-    The shared decode-or-quarantine validator: :class:`MemoStore` runs
-    it over entry *files* and :class:`repro.memo.remote.RemoteMemo` runs
-    it over ``GET /memo/<id>`` responses, so a byte served over the wire
-    clears exactly the checks a byte read from disk clears.  Raises
-    :class:`ValueError` on any anomaly.
+    The decode-or-quarantine validator :class:`MemoStore` runs over
+    every entry file it reads.  Raises :class:`ValueError` on any
+    anomaly.
     """
     n = key_doc["n"]
     if not isinstance(doc, dict):
@@ -480,76 +424,6 @@ class MemoStore:
                 self._disk_entries += 1
                 self._evict_over_limit()
             self._publish_gauges()
-
-    # ------------------------------------------------------------------ #
-    # the wire surface (service GET/PUT /memo/<id>)
-    # ------------------------------------------------------------------ #
-
-    def load_entry_doc(self, class_id: str) -> Optional[Dict[str, object]]:
-        """The raw entry document of one class, or None when absent.
-
-        Served verbatim over ``GET /memo/<id>``; the server does not
-        re-validate — clients run :func:`decode_entry_doc` against the
-        key *they* computed, so a corrupt or mismatched document is
-        quarantined where it would do harm.
-        """
-        path = self.entry_path(class_id)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        return doc if isinstance(doc, dict) else None
-
-    def merge_entry_doc(self, class_id: str, doc: object) -> int:
-        """Merge an *untrusted* entry document in; returns rows added.
-
-        The write half of ``PUT /memo/<id>``.  The document must carry a
-        structurally valid key (:func:`validate_key_doc`) that hashes to
-        *class_id*, and every result row must clear the same strict
-        decode as a local entry file — anything else raises
-        :class:`ValueError` and nothing is written.  Merging is
-        monotone: rows already present win over incoming ones (pure
-        functions make a genuine conflict impossible; a liar loses the
-        race at worst), so concurrent PUTs from a worker fleet converge.
-        """
-        if not isinstance(doc, dict):
-            raise ValueError("entry document is not an object")
-        key_doc = validate_key_doc(doc.get("key"))
-        if memo_key_id(key_doc) != class_id:
-            raise ValueError("entry key does not hash to its address")
-        raw_tail = entry_key_tail(key_doc)
-        incoming = decode_entry_doc(doc, key_doc, raw_tail)
-        merged = 0
-        with self._lock:
-            path = self.entry_path(class_id)
-            rows: Dict[PositionKey, PositionResult] = {}
-            existed = os.path.exists(path)
-            if existed:
-                loaded = self._read_entry(path, key_doc, raw_tail)
-                if loaded is None:
-                    existed = False  # corrupt entry dropped; rebuild fresh
-                else:
-                    rows = loaded
-            for raw, result in incoming.items():
-                if raw not in rows:
-                    rows[raw] = result
-                    merged += 1
-            for row_key, row_result in rows.items():
-                self._hot_put(row_key, row_result)
-            if merged:
-                self._write_entry(path, key_doc, rows)
-                try:
-                    self._loaded[class_id] = os.stat(path).st_mtime_ns
-                except OSError:
-                    self._loaded.pop(class_id, None)
-                self.stats.puts += merged
-                self._puts.inc(merged)
-                if not existed:
-                    self._disk_entries += 1
-                    self._evict_over_limit()
-            self._publish_gauges()
-        return merged
 
     # ------------------------------------------------------------------ #
     # eviction

@@ -314,10 +314,10 @@ def _resynthesis_pass(
                 continue
             labels = session.labels()  # current after earlier replacements
             with tracer.span("candidate", net=net) as csp:
-                with tracer.span("extract"):
+                with tracer.span("enumerate"):
                     cones = enumerate_candidate_cones(work, net, k, frozen)
                 options = []
-                with tracer.span("identify", cones=len(cones)):
+                with tracer.span("evaluate", cones=len(cones)):
                     for cone in cones:
                         option = evaluate_cone(
                             work, cone, labels, perm_budget=perm_budget,

@@ -23,64 +23,53 @@ lifecycle, checkpoint format and determinism contract are documented in
 ``docs/SERVICE.md``; deployment and operations in ``docs/OPERATIONS.md``.
 """
 
-from .api import ResynthesisService
-from .asgi import API_VERSION, ServiceApp, ServiceServer
-from .client import ServiceAPIError, ServiceClient, ServiceConnectionError
-from .index import JobIndex, default_index_path
-from .jobspec import (
-    JobSpec,
-    JobSpecError,
-    PROCEDURES,
-    resolve_circuit,
-    spec_from_doc,
-    spec_from_json,
-)
-from .runner import run_job
-from .store import ArtifactStore, JOB_STATES, StoreError, TERMINAL_STATES
-from .sweeps import SweepCoordinator
-from .supervisor import (
-    JobOutcome,
-    SupervisorConfig,
-    WorkerSupervisor,
-    default_worker_command,
-)
-from .tenants import (
-    AuthError,
-    BackpressureError,
-    PUBLIC_TENANT,
-    Tenant,
-    TenantRegistry,
-)
+import importlib
 
-__all__ = [
-    "API_VERSION",
-    "ArtifactStore",
-    "AuthError",
-    "BackpressureError",
-    "JOB_STATES",
-    "JobIndex",
-    "JobOutcome",
-    "JobSpec",
-    "JobSpecError",
-    "PROCEDURES",
-    "PUBLIC_TENANT",
-    "ResynthesisService",
-    "ServiceAPIError",
-    "ServiceApp",
-    "ServiceClient",
-    "ServiceConnectionError",
-    "ServiceServer",
-    "StoreError",
-    "SupervisorConfig",
-    "SweepCoordinator",
-    "TERMINAL_STATES",
-    "Tenant",
-    "TenantRegistry",
-    "WorkerSupervisor",
-    "default_index_path",
-    "default_worker_command",
-    "resolve_circuit",
-    "run_job",
-    "spec_from_doc",
-    "spec_from_json",
-]
+#: Public name -> the submodule that defines it.  Names load on first
+#: access (PEP 562): the supervisor's worker processes import
+#: ``repro.service.store`` alone, and must not pay for the HTTP front
+#: end and the resynthesis engine before their first heartbeat.
+_EXPORTS = {
+    "ResynthesisService": "api",
+    "API_VERSION": "asgi",
+    "ServiceApp": "asgi",
+    "ServiceServer": "asgi",
+    "ServiceAPIError": "client",
+    "ServiceClient": "client",
+    "ServiceConnectionError": "client",
+    "JobIndex": "index",
+    "default_index_path": "index",
+    "JobSpec": "jobspec",
+    "JobSpecError": "jobspec",
+    "PROCEDURES": "jobspec",
+    "resolve_circuit": "jobspec",
+    "spec_from_doc": "jobspec",
+    "spec_from_json": "jobspec",
+    "run_job": "runner",
+    "ArtifactStore": "store",
+    "JOB_STATES": "store",
+    "StoreError": "store",
+    "TERMINAL_STATES": "store",
+    "SweepCoordinator": "sweeps",
+    "JobOutcome": "supervisor",
+    "SupervisorConfig": "supervisor",
+    "WorkerSupervisor": "supervisor",
+    "default_worker_command": "supervisor",
+    "AuthError": "tenants",
+    "BackpressureError": "tenants",
+    "PUBLIC_TENANT": "tenants",
+    "Tenant": "tenants",
+    "TenantRegistry": "tenants",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -16,10 +16,7 @@ batch of wire-encoded pure-function tasks, executed on the service's own
 task fabric (serial for ``--task-workers 1``, a process pool above
 that) with per-task outcomes reported — retry policy stays with the
 *calling* fabric, which knows whether a failure was the task or the
-transport.  The ``/memo`` routes are the first slice of the
-memo-over-the-network roadmap item: remote workers share one
-authoritative :class:`~repro.memo.MemoStore` without a shared
-filesystem (client side: :class:`repro.memo.remote.RemoteMemo`).
+transport.
 """
 
 from __future__ import annotations
@@ -97,8 +94,6 @@ class ResynthesisService:
         elif task_workers > 1:
             self.task_fabric = ProcessFabric(task_workers,
                                              registry=self.metrics)
-        self._memo_store = None
-        self._memo_lock = threading.Lock()
         # Heap entries: (-priority, admission_seq, job_id).
         self._queue: List[Tuple[int, int, str]] = []
         self._admit_seq = 0
@@ -438,26 +433,6 @@ class ResynthesisService:
         if errors:
             self.metrics.inc("service_task_errors_total", errors)
         return rows
-
-    # -- memo ------------------------------------------------------------ #
-
-    @property
-    def memo_store(self):
-        """The authoritative memo behind ``/memo`` (None when disabled).
-
-        Lazily opened from ``config.memo_root`` — the same store the
-        supervisor hands its job workers, so fleet PUTs and local
-        workers converge on one directory.
-        """
-        if self.config.memo_root is None:
-            return None
-        with self._memo_lock:
-            if self._memo_store is None:
-                from ..memo import MemoStore
-
-                self._memo_store = MemoStore(self.config.memo_root,
-                                             registry=self.metrics)
-            return self._memo_store
 
     # -- views ---------------------------------------------------------- #
 

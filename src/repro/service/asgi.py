@@ -23,7 +23,6 @@ This is the multi-tenant, connection-cheap HTTP face of
     GET  /metrics                JSON or Prometheus (Accept-negotiated)
     GET  /version                API + service version document
     POST /tasks                  fabric task execution (docs/FABRIC.md)
-    GET/PUT /memo/<id>           shared identification memo (docs/MEMO.md)
 
 Error bodies are always ``{"error": "..."}``; 429 responses add a
 ``Retry-After`` header.  The full reference table lives in
@@ -337,8 +336,6 @@ class ServiceApp:
             await self._submit_sweep(headers, body, send)
         elif method == "POST" and parts == ["tasks"]:
             await self._run_tasks(body, send)
-        elif method == "PUT" and len(parts) == 2 and parts[0] == "memo":
-            await self._put_memo(parts[1], body, send)
         elif method in ("GET", "HEAD"):
             await self._route_get(parts, query, headers, send)
         else:
@@ -388,8 +385,6 @@ class ServiceApp:
             elif (len(parts) == 3 and parts[0] == "sweeps"
                     and parts[2] == "report"):
                 await self._sweep_report(parts[1], send)
-            elif len(parts) == 2 and parts[0] == "memo":
-                await self._get_memo(parts[1], send)
             else:
                 raise _HTTPAnswer(
                     404, "no such route: GET /" + "/".join(parts))
@@ -697,7 +692,7 @@ class ServiceApp:
             if not changed:
                 await emit(": keepalive\n\n")
 
-    # -- fabric tasks and memo ------------------------------------------- #
+    # -- fabric tasks ----------------------------------------------------- #
 
     async def _run_tasks(self, body, send) -> None:
         if self.service.task_fabric is None:
@@ -714,30 +709,6 @@ class ServiceApp:
             raise _HTTPAnswer(
                 400, f"invalid task document: {exc}") from None
         await self._send_json(send, 200, {"results": rows})
-
-    def _memo_store(self):
-        store = self.service.memo_store
-        if store is None:
-            raise _HTTPAnswer(
-                404, "memo not enabled (start with serve --memo DIR)")
-        return store
-
-    async def _get_memo(self, class_id: str, send) -> None:
-        store = self._memo_store()
-        doc = await asyncio.to_thread(store.load_entry_doc, class_id)
-        if doc is None:
-            raise _HTTPAnswer(404, f"no memo entry {class_id!r}")
-        await self._send_json(send, 200, doc)
-
-    async def _put_memo(self, class_id: str, body, send) -> None:
-        store = self._memo_store()
-        doc = self._parse_body_json(body)
-        try:
-            merged = await asyncio.to_thread(
-                store.merge_entry_doc, class_id, doc)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise _HTTPAnswer(400, f"invalid memo entry: {exc}") from None
-        await self._send_json(send, 200, {"merged": merged})
 
     # -- response plumbing ----------------------------------------------- #
 

@@ -76,7 +76,7 @@ class ServiceClient:
         Per-request socket timeout in seconds.
     retries:
         Extra attempts granted to *idempotent* (GET) requests that fail
-        at the connection level.  POST/PUT are never retried here.
+        at the connection level.  POSTs are never retried here.
     backoff:
         Sleep before the first retry; doubles per subsequent retry.
     api_key:
@@ -304,19 +304,6 @@ class ServiceClient:
     def jobs_summary(self) -> Dict[str, object]:
         """``GET /jobs/summary`` — per-tenant x per-state counts."""
         return self._request("GET", "/jobs/summary")
-
-    def memo_entry(self, class_id: str) -> Dict[str, object]:
-        """``GET /memo/<class-id>`` — one raw memo entry document."""
-        return self._request("GET", f"/memo/{class_id}")
-
-    def put_memo_entry(self, class_id: str,
-                       doc: Dict[str, object]) -> Dict[str, object]:
-        """``PUT /memo/<class-id>`` — merge an entry into the server memo.
-
-        The server validates and merges (a PUT can only add results), so
-        concurrent writers lose nothing; returns ``{"merged": N}``.
-        """
-        return self._request("PUT", f"/memo/{class_id}", body=doc)
 
     # -- streaming ------------------------------------------------------- #
 

@@ -32,18 +32,18 @@ import json
 import os
 import threading
 import time
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..persist import atomic_write_text as _atomic_write
 from ..persist import fsync_dir as _fsync_dir  # noqa: F401  (re-export)
-from ..resynth.procedures import PassCheckpoint, ResynthesisReport
-from ..resynth.serialize import (
-    checkpoint_from_doc,
-    checkpoint_to_doc,
-    report_from_doc,
-    report_to_doc,
-)
 from .jobspec import JobSpec, spec_from_doc
+
+# The checkpoint and report codecs import the resynthesis engine (and
+# NumPy with it), so the four methods that need them import them on
+# first use: a worker or supervisor that only touches status, events
+# and heartbeats starts without paying for the engine.
+if TYPE_CHECKING:
+    from ..resynth.procedures import PassCheckpoint, ResynthesisReport
 
 #: Legal job states (the store validates transitions are at least names).
 JOB_STATES = ("queued", "running", "succeeded", "failed")
@@ -297,6 +297,8 @@ class ArtifactStore:
         directory = self._path(job_id, "checkpoints")
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, f"pass_{ckpt.pass_no:04d}.json")
+        from ..resynth.serialize import checkpoint_to_doc
+
         doc = checkpoint_to_doc(ckpt)
         return _atomic_write(path, json.dumps(doc, indent=1, sort_keys=True))
 
@@ -317,6 +319,8 @@ class ArtifactStore:
     def load_checkpoint(self, job_id: str,
                         pass_no: int) -> PassCheckpoint:
         """Load one stored checkpoint."""
+        from ..resynth.serialize import checkpoint_from_doc
+
         path = self._path(job_id, "checkpoints", f"pass_{pass_no:04d}.json")
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -337,12 +341,16 @@ class ArtifactStore:
 
     def write_report(self, job_id: str, report: ResynthesisReport) -> int:
         """Persist the final report (result netlist embedded)."""
+        from ..resynth.serialize import report_to_doc
+
         doc = report_to_doc(report)
         return _atomic_write(self._path(job_id, "report.json"),
                              json.dumps(doc, indent=1, sort_keys=True))
 
     def load_report(self, job_id: str) -> Optional[ResynthesisReport]:
         """The final report, or None while the job is still running."""
+        from ..resynth.serialize import report_from_doc
+
         try:
             with open(self._path(job_id, "report.json"),
                       "r", encoding="utf-8") as fh:

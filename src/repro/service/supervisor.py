@@ -64,10 +64,6 @@ class SupervisorConfig:
     #: placement only — reports stay bit-identical — so, like the memo,
     #: it is not part of the job spec's content address.
     fabric_workers: tuple = ()
-    #: Opt-in memo-over-HTTP (``--memo-url``): workers consult/feed the
-    #: identification memo of the service at this URL instead of a
-    #: shared directory.  Overrides ``memo_root`` for workers.
-    memo_url: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -103,8 +99,6 @@ def default_worker_command(store: ArtifactStore, job_id: str,
     ]
     if config.memo_root:
         command += ["--memo", config.memo_root]
-    if config.memo_url:
-        command += ["--memo-url", config.memo_url]
     for url in config.fabric_workers:
         command += ["--task-worker", url]
     return command

@@ -17,7 +17,6 @@ import threading
 import traceback
 from typing import List, Optional
 
-from .runner import run_job
 from .store import ArtifactStore
 
 
@@ -29,9 +28,6 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--heartbeat-interval", type=float, default=1.0)
     parser.add_argument("--memo", default=None,
                         help="shared identification cache directory")
-    parser.add_argument("--memo-url", default=None,
-                        help="identification memo served over HTTP "
-                             "(GET/PUT /memo; overrides --memo)")
     parser.add_argument("--task-worker", action="append", default=[],
                         metavar="URL", dest="task_workers",
                         help="remote fabric worker URL (repeatable): the "
@@ -54,24 +50,22 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
             store.heartbeat(args.job_id)
             stop.wait(args.heartbeat_interval)
 
-    memo = args.memo
-    if args.memo_url:
-        from ..memo.remote import RemoteMemo
-
-        memo = RemoteMemo(args.memo_url)
-    fabric = None
-    if args.task_workers:
-        from ..fabric.remote import RemoteFabric
-
-        fabric = RemoteFabric(args.task_workers)
-
+    # Beat before the engine import: loading the resynthesis stack (and
+    # NumPy) takes longer than a tight heartbeat timeout on a busy host.
     store.heartbeat(args.job_id)
     beater = threading.Thread(target=beat_forever, daemon=True)
     beater.start()
     try:
+        from .runner import run_job
+
+        fabric = None
+        if args.task_workers:
+            from ..fabric.remote import RemoteFabric
+
+            fabric = RemoteFabric(args.task_workers)
         run_job(store, args.job_id,
                 progress=lambda: store.heartbeat(args.job_id),
-                memo=memo, fabric=fabric)
+                memo=args.memo, fabric=fabric)
         return 0
     except BaseException as exc:  # noqa: BLE001 — the whole point is capture
         store.write_worker_error(

@@ -35,7 +35,7 @@ class TestTracedResynthesis:
         tracer, report = traced_run()
         names = {s.name for s in tracer.spans()}
         assert {"run", "setup", "pass", "candidate",
-                "extract", "identify"} <= names
+                "enumerate", "evaluate"} <= names
         (run,) = tracer.find("run")
         assert run.attrs["passes"] == report.passes
         assert run.attrs["replacements"] == report.replacements

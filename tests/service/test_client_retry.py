@@ -1,7 +1,7 @@
 """ServiceClient robustness: timeouts, bounded GET retries, error taxonomy.
 
 The contract: connection-level failures retry with exponential backoff
-for GETs only (idempotent); POST/PUT fail fast (a lost response could
+for GETs only (idempotent); POSTs fail fast (a lost response could
 mean a duplicate submission); server-answered errors are deterministic
 and never retried.  The retry budget exhausts into
 :class:`ServiceConnectionError` — an ``OSError`` subclass so generic
@@ -58,13 +58,6 @@ class TestConnectionRetries:
         client, sleeps = recording_client(retries=5)
         with pytest.raises(ServiceConnectionError) as err:
             client.run_tasks([])
-        assert err.value.attempts == 1
-        assert sleeps == []
-
-    def test_put_is_never_retried(self):
-        client, sleeps = recording_client(retries=5)
-        with pytest.raises(ServiceConnectionError) as err:
-            client.put_memo_entry("m" + "0" * 16, {})
         assert err.value.attempts == 1
         assert sleeps == []
 

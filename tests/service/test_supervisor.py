@@ -8,6 +8,7 @@ worker module.
 
 import json
 import os
+import subprocess
 import sys
 
 from repro.benchcircuits import c17
@@ -19,7 +20,7 @@ from repro.service import (
     SupervisorConfig,
     WorkerSupervisor,
 )
-from repro.service.supervisor import default_worker_command
+from repro.service.supervisor import _worker_env, default_worker_command
 
 
 def make_job(tmp_path, **kw):
@@ -232,6 +233,24 @@ class TestFakeWorkers:
         assert outcome.error == "boom"
         assert "boom" in outcome.traceback
         assert store.status(job_id)["traceback"] == outcome.traceback
+
+
+class TestWorkerImportWeight:
+    def test_store_import_leaves_engine_and_front_end_unloaded(self):
+        # A worker must heartbeat within heartbeat_timeout of its spawn,
+        # and everything it needs for that is repro.service.store.  The
+        # engine (with NumPy) and the HTTP front end load later, if at
+        # all, so a busy host cannot starve the first beat.
+        program = (
+            "import sys\n"
+            "import repro.service.store\n"
+            "heavy = ('numpy', 'repro.resynth', 'repro.service.asgi')\n"
+            "print(' '.join(m for m in heavy if m in sys.modules))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", program],
+                             env=_worker_env(), capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.split() == []
 
 
 class TestRealWorker:
