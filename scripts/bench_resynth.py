@@ -18,28 +18,17 @@ would be noise on shared runners).
 ``--compare`` enforces exactly that — so a ``--jobs`` run can be compared
 against a serial baseline; the ``jobs`` column records what was used.
 
-``--fabric serial|process|remote`` picks the execution backend
-explicitly (docs/FABRIC.md); the ``fabric`` column records it.  The
-determinism contract makes every backend comparable against the same
-baseline.  ``--fabric remote`` ships work to ``--workers URL`` fleet
-members, or — with no ``--workers`` — self-hosts a loopback
-``ServiceServer`` running ``--task-workers N`` local worker processes,
-which is how the committed acceptance entry was measured::
-
-    PYTHONPATH=src python scripts/bench_resynth.py --circuits syn35932 \\
-        --fabric remote --task-workers 2 --compare BENCH_resynth.json
-
-(The committed baseline carries that run under a ``remote_acceptance``
-key, manually merged in; ``--compare`` only reads ``results``.)
+``--fabric serial|process`` picks the execution backend explicitly
+(docs/FABRIC.md); the ``fabric`` column records it.  The determinism
+contract makes both backends comparable against the same baseline.
 
 ``--sweep`` additionally benchmarks :mod:`repro.sweep` (docs/SWEEP.md):
 one grid — the benchmarked circuits x Procedures 2 and 3 x K in {4, 5} —
-run to a Pareto-front report through a serial fabric and through remote
-fabrics over self-hosted loopback servers with 1 and 2 task workers.
-Rows are checked bit-identical across the legs on the spot (the sweep
-determinism contract), so the ``sweep`` key the report gains is honest
-wall clock over identical work: single-box fan-out overhead vs. what an
-extra worker process buys back.
+run to a Pareto-front report through a serial fabric and through a
+2-worker process fabric.  Rows are checked bit-identical across the legs
+on the spot (the sweep determinism contract), so the ``sweep`` key the
+report gains is honest wall clock over identical work: fan-out overhead
+vs. what a second worker process buys back.
 
 ``--memo DIR`` additionally benchmarks the persistent identification
 cache (docs/MEMO.md): after the plain run that produces ``wall_s``
@@ -144,11 +133,10 @@ def bench_one(name, k, seed, jobs, memo_root=None, fabric=None):
 
 
 def bench_sweep(circuits, seed):
-    """The sweep leg: one grid through serial and remote backends."""
+    """The sweep leg: one grid through serial and process backends."""
     import tempfile
 
-    from repro.fabric import RemoteFabric
-    from repro.service import ArtifactStore, ServiceServer
+    from repro.fabric import ProcessFabric
     from repro.sweep import SweepRunner, sweep_from_doc
 
     spec = sweep_from_doc({
@@ -163,18 +151,9 @@ def bench_sweep(circuits, seed):
              "cells": len(spec.cells()), "legs": {}}
     reference = None
     with tempfile.TemporaryDirectory(prefix="repro-bench-sweep-") as work:
-        legs = [("serial", None, None)]
-        legs += [(f"remote_workers{n}", n, None) for n in (1, 2)]
-        for i, (leg_name, task_workers, _) in enumerate(legs):
-            fabric = None
-            server = None
-            if task_workers is not None:
-                server = ServiceServer(
-                    ArtifactStore(os.path.join(work, f"store{i}")),
-                    task_workers=task_workers)
-                server.start()
-                fabric = RemoteFabric([server.url],
-                                      shards=max(task_workers, 1))
+        legs = [("serial", None), ("process_jobs2", 2)]
+        for i, (leg_name, jobs) in enumerate(legs):
+            fabric = ProcessFabric(jobs) if jobs else None
             identification_cache().clear()
             t0 = time.perf_counter()
             try:
@@ -184,8 +163,6 @@ def bench_sweep(circuits, seed):
             finally:
                 if fabric is not None:
                     fabric.close()
-                if server is not None:
-                    server.stop()
             wall = time.perf_counter() - t0
             identification_cache().clear()
             if reference is None:
@@ -241,24 +218,16 @@ def main():
                     help="worker processes for candidate evaluation "
                          "(default 1 = serial; reports are identical)")
     ap.add_argument("--fabric", default=None,
-                    choices=["serial", "process", "remote"],
+                    choices=["serial", "process"],
                     help="execution backend for candidate evaluation "
                          "(docs/FABRIC.md); default follows --jobs")
-    ap.add_argument("--workers", action="append", default=None,
-                    metavar="URL",
-                    help="remote worker base URL (repeatable; implies "
-                         "--fabric remote)")
-    ap.add_argument("--task-workers", type=int, default=2, metavar="N",
-                    help="worker processes for the self-hosted loopback "
-                         "server used by --fabric remote without "
-                         "--workers (default 2)")
     ap.add_argument("--memo", default=None, metavar="DIR",
                     help="benchmark the persistent identification cache "
                          "under DIR: adds warm_wall_s/warm_speedup/"
                          "memo_hits columns (docs/MEMO.md)")
     ap.add_argument("--sweep", action="store_true",
                     help="also benchmark a repro.sweep grid over serial "
-                         "and remote backends (docs/SWEEP.md); adds a "
+                         "and process backends (docs/SWEEP.md); adds a "
                          "'sweep' key to the report")
     ap.add_argument("--quick", action="store_true",
                     help="seconds-scale smoke subset (CI)")
@@ -272,33 +241,15 @@ def main():
     circuits = args.circuits or (
         QUICK_CIRCUITS if args.quick else DEFAULT_CIRCUITS
     )
-    fabric_name = args.fabric or ("remote" if args.workers else None)
     fabric = None
-    server = None
-    if fabric_name == "serial":
+    if args.fabric == "serial":
         from repro.fabric import SerialFabric
 
         fabric = SerialFabric()
-    elif fabric_name == "process":
+    elif args.fabric == "process":
         from repro.fabric import ProcessFabric
 
         fabric = ProcessFabric(max(args.jobs, 2))
-    elif fabric_name == "remote":
-        import tempfile
-
-        from repro.fabric import RemoteFabric
-        from repro.service import ArtifactStore, ServiceServer
-
-        workers = args.workers
-        if not workers:
-            server = ServiceServer(
-                ArtifactStore(tempfile.mkdtemp(prefix="repro-bench-")),
-                task_workers=args.task_workers)
-            server.start()
-            workers = [server.url]
-            print(f"self-hosted worker: {server.url} "
-                  f"({args.task_workers} task worker(s))")
-        fabric = RemoteFabric(workers)
     report = {
         "schema": 1,
         "k": args.k,
@@ -319,8 +270,6 @@ def main():
     finally:
         if fabric is not None:
             fabric.close()
-        if server is not None:
-            server.stop()
     if args.sweep:
         sweep_circuits = [c for c in circuits if c != "syn35932"]
         report["sweep"] = bench_sweep(sweep_circuits or circuits,

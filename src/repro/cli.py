@@ -5,10 +5,11 @@ Subcommands
 ``stats CIRCUIT``
     Print size/path statistics for a circuit (suite name or ``.bench``).
 ``resynth CIRCUIT [--objective gates|paths] [--k K] [--jobs N] \
-[--fabric serial|process|remote] [--workers URL] [--out FILE]``
+[--fabric serial|process] [--out FILE]``
     Run Procedure 2 or 3 and optionally write the result; ``--jobs``
     fans candidate evaluation over worker processes (bit-identical
-    reports at any value, see docs/PARALLEL.md).  ``--out x.json``
+    reports at any value, see docs/PARALLEL.md); ``--fabric`` picks the
+    backend explicitly (docs/FABRIC.md).  ``--out x.json``
     writes the full report + result netlist in the service's report
     serialization; any other suffix writes a ``.bench`` netlist.
     ``--trace FILE`` records a JSONL span trace of the run
@@ -28,12 +29,10 @@ Subcommands
 ``replay ARTIFACT [ARTIFACT ...]``
     Re-run the oracle of previously written repro artifacts.
 ``serve [--root DIR] [--port P] [--workers N] [--memo DIR] \
-[--task-workers N] [--tenants FILE] [--queue-limit N]``
+[--tenants FILE] [--queue-limit N]``
     Run the checkpointable resynthesis job service (docs/SERVICE.md;
     operations in docs/OPERATIONS.md); ``--memo`` shares one
-    identification cache across all workers, ``--task-workers``
-    additionally makes the service a remote-fabric task worker
-    (``POST /tasks``; docs/FABRIC.md), ``--tenants`` switches on
+    identification cache across all workers, ``--tenants`` switches on
     API-key auth with per-tenant quotas and priorities, and
     ``--queue-limit`` bounds admission (429 + Retry-After beyond it).
 ``submit CIRCUIT [--url URL] [--wait] | submit --batch FILE``
@@ -94,23 +93,7 @@ def _cmd_resynth(args) -> int:
         from .memo import MemoStore
 
         memo = MemoStore(args.memo)
-    fabric = None
-    if args.fabric == "serial":
-        from .fabric import SerialFabric
-
-        fabric = SerialFabric()
-    elif args.fabric == "process":
-        from .fabric import ProcessFabric
-
-        fabric = ProcessFabric(max(args.jobs, 1))
-    elif args.fabric == "remote":
-        if not args.workers:
-            print("error: --fabric remote needs at least one --workers URL",
-                  file=sys.stderr)
-            return 2
-        from .fabric.remote import RemoteFabric
-
-        fabric = RemoteFabric(args.workers)
+    fabric = _make_fabric(args)
     try:
         report = proc(circuit, k=args.k, verify_patterns=args.verify,
                       jobs=args.jobs, tracer=tracer, memo=memo,
@@ -121,8 +104,7 @@ def _cmd_resynth(args) -> int:
     print(report.summary())
     print(report.timing_summary())
     if fabric is not None:
-        print(f"fabric: {fabric.name} "
-              f"({', '.join(args.workers) if args.workers else 'local'})")
+        print(f"fabric: {fabric.name} ({fabric.parallelism} worker(s))")
     if memo is not None:
         stats = memo.stats
         print(f"memo: {stats.hits} hit(s), {stats.misses} miss(es), "
@@ -145,6 +127,34 @@ def _cmd_resynth(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for worker counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _make_fabric(args):
+    """The ``--fabric`` backend of resynth/sweep (None = the default).
+
+    ``process`` runs exactly ``--jobs`` workers.
+    """
+    if args.fabric == "serial":
+        from .fabric import SerialFabric
+
+        return SerialFabric()
+    if args.fabric == "process":
+        from .fabric import ProcessFabric
+
+        return ProcessFabric(args.jobs)
+    return None
+
+
 def _cmd_sweep(args) -> int:
     import os
 
@@ -160,23 +170,7 @@ def _cmd_sweep(args) -> int:
     except SweepSpecError as exc:
         print(f"error: invalid sweep grid: {exc}", file=sys.stderr)
         return 2
-    fabric = None
-    if args.fabric == "serial":
-        from .fabric import SerialFabric
-
-        fabric = SerialFabric()
-    elif args.fabric == "process":
-        from .fabric import ProcessFabric
-
-        fabric = ProcessFabric(max(args.jobs, 2))
-    elif args.fabric == "remote":
-        if not args.workers:
-            print("error: --fabric remote needs at least one --workers URL",
-                  file=sys.stderr)
-            return 2
-        from .fabric.remote import RemoteFabric
-
-        fabric = RemoteFabric(args.workers)
+    fabric = _make_fabric(args)
     out = args.out or os.path.join(".repro-sweep", spec.sweep_id)
     print(spec.describe())
 
@@ -380,7 +374,6 @@ def _cmd_serve(args) -> int:
         max_retries=args.retries,
         heartbeat_timeout=args.heartbeat_timeout,
         memo_root=args.memo,
-        fabric_workers=tuple(args.fabric_workers),
     )
     if args.tenants:
         try:
@@ -394,13 +387,10 @@ def _cmd_serve(args) -> int:
     server = ServiceServer(
         store, host=args.host, port=args.port, config=config,
         max_workers=args.workers, verbose=args.verbose,
-        task_workers=args.task_workers,
         queue_limit=args.queue_limit,
         tenants_file=args.tenants or None,
     )
     memo_note = f", memo: {args.memo}" if args.memo else ""
-    task_note = (f", task-workers: {args.task_workers}"
-                 if args.task_workers else "")
     tenant_note = (f", tenants: {args.tenants}" if args.tenants else "")
     queue_note = (f", queue-limit: {args.queue_limit}"
                   if args.queue_limit else "")
@@ -411,7 +401,7 @@ def _cmd_serve(args) -> int:
         return 1
     print(f"repro.service listening on {server.url} "
           f"(store: {store.root}, workers: {args.workers}"
-          f"{memo_note}{task_note}{tenant_note}{queue_note})")
+          f"{memo_note}{tenant_note}{queue_note})")
     try:
         while True:
             import time as _time
@@ -567,7 +557,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--objective", choices=("gates", "paths"),
                    default="gates")
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes for candidate evaluation "
                         "(default 1 = serial; results are identical)")
     p.add_argument("--out")
@@ -579,16 +569,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="persistent identification cache directory "
                         "(shared across runs; results are identical, "
                         "see docs/MEMO.md)")
-    p.add_argument("--fabric", choices=("serial", "process", "remote"),
+    p.add_argument("--fabric", choices=("serial", "process"),
                    default=None,
                    help="task-execution backend for candidate evaluation "
                         "(default: process pool when --jobs > 1, else "
-                        "inline; results are identical on every backend, "
-                        "see docs/FABRIC.md)")
-    p.add_argument("--workers", metavar="URL", action="append", default=[],
-                   help="remote fabric worker URL (repeatable; requires "
-                        "--fabric remote; targets must run "
-                        "'serve --task-workers N')")
+                        "inline; 'process' runs --jobs workers; results "
+                        "are identical on both backends, see "
+                        "docs/FABRIC.md)")
     p.set_defaults(func=_cmd_resynth)
 
     p = sub.add_parser("sweep",
@@ -599,15 +586,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--out", default=None, metavar="DIR",
                    help="sweep directory (default "
                         ".repro-sweep/<sweep_id>)")
-    p.add_argument("--fabric", choices=("serial", "process", "remote"),
+    p.add_argument("--fabric", choices=("serial", "process"),
                    default="serial",
                    help="cell-execution backend (results are identical "
-                        "on every backend; docs/SWEEP.md)")
-    p.add_argument("--jobs", type=int, default=2,
+                        "on both backends; docs/SWEEP.md)")
+    p.add_argument("--jobs", type=_positive_int, default=2,
                    help="process-fabric worker count (--fabric process)")
-    p.add_argument("--workers", metavar="URL", action="append", default=[],
-                   help="remote fabric worker URL (repeatable; requires "
-                        "--fabric remote)")
     p.add_argument("--memo", metavar="DIR", default=None,
                    help="persistent identification cache handed to every "
                         "cell (wall clock only; docs/MEMO.md)")
@@ -682,16 +666,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="persistent identification cache directory "
                         "shared by every job worker (opt-in; "
                         "docs/MEMO.md)")
-    p.add_argument("--task-workers", type=int, default=0, metavar="N",
-                   help="enable POST /tasks with N-way task execution "
-                        "(0 = disabled; 1 = inline; >1 = process pool), "
-                        "making this service a remote-fabric worker "
-                        "(docs/FABRIC.md)")
-    p.add_argument("--fabric-worker", metavar="URL", action="append",
-                   default=[], dest="fabric_workers",
-                   help="remote fabric worker URL handed to every job "
-                        "worker (repeatable): jobs fan their candidate "
-                        "evaluation out to these /tasks endpoints")
     p.add_argument("--tenants", metavar="FILE", default=None,
                    help="tenants JSON file enabling API-key auth, "
                         "per-tenant quotas and priorities "

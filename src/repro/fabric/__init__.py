@@ -1,24 +1,18 @@
-"""repro.fabric — one fan-out abstraction from candidate evaluation to cluster.
+"""repro.fabric — one fan-out abstraction for candidate evaluation and sweeps.
 
 A :class:`Fabric` maps a batch of :class:`FabricTask` values (pure
 functions from the :mod:`repro.fabric.tasks` registry) to their results
-in task order, with bounded task-level retry and ``fabric_*`` obs
-instrumentation.  Three backends, all bit-identical by contract:
+in task order, with ``fabric_*`` obs instrumentation.  Two backends,
+bit-identical by contract:
 
 ============================  =========================================
 :class:`SerialFabric`         inline, in-process — the reference
 :class:`ProcessFabric`        local ``ProcessPoolExecutor`` fan-out
-:class:`RemoteFabric`         JSON over the service HTTP protocol to a
-                              worker fleet (``POST /tasks``)
 ============================  =========================================
 
-See docs/FABRIC.md for the backend matrix, the determinism contract and
-the wire format.  :mod:`repro.parallel` is the cache-priming planner
-that sits on top of this layer.
-
-``RemoteFabric`` is exported lazily (module ``__getattr__``): importing
-it pulls in :mod:`repro.service` for its HTTP client, and the in-process
-backends should not pay for that.
+See docs/FABRIC.md for the backends and the determinism contract.
+:mod:`repro.parallel` is the cache-priming planner that sits on top of
+this layer.
 """
 
 from .core import (
@@ -31,10 +25,6 @@ from .core import (
 )
 from .tasks import (
     TaskKind,
-    decode_result,
-    decode_task,
-    encode_result,
-    encode_task,
     register_task_kind,
     run_task,
     task_kind,
@@ -46,31 +36,11 @@ __all__ = [
     "FabricExecutionError",
     "FabricTask",
     "ProcessFabric",
-    "RemoteFabric",
-    "RemoteTaskError",
     "SerialFabric",
     "TaskKind",
-    "decode_result",
-    "decode_task",
-    "encode_result",
-    "encode_task",
     "preferred_start_method",
     "register_task_kind",
     "run_task",
     "task_kind",
     "task_kind_names",
 ]
-
-_LAZY = {"RemoteFabric", "RemoteTaskError"}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        from . import remote
-
-        return getattr(remote, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | _LAZY)

@@ -1,40 +1,33 @@
-"""The fabric interface and its in-process backends.
+"""The fabric interface and its two backends.
 
 A :class:`Fabric` executes a batch of :class:`FabricTask` values —
 pure-function work units from the registry in :mod:`repro.fabric.tasks`
-— and returns their results **in task order**, regardless of where or in
-what order they actually ran.  That ordering guarantee, together with
-the task purity the registry demands, is what lets every caller treat
-backends as interchangeable: the planner in :mod:`repro.parallel` keeps
-its determinism contract (bit-identical reports at any shard count on
-any backend) without knowing whether a task ran inline, in a local
-process pool, or on a remote host.
+— and returns their results **in task order**, regardless of the order
+they actually ran in.  That ordering guarantee, together with the task
+purity the registry demands, is what lets every caller treat backends
+as interchangeable: the planner in :mod:`repro.parallel` keeps its
+determinism contract (bit-identical reports at any shard count on
+either backend) without knowing whether a task ran inline or in a local
+process pool.
 
 Backends
 --------
 :class:`SerialFabric`
     Runs tasks inline, one after another.  The bit-identical reference
-    every other backend is measured against — and the cheapest backend
+    the process pool is measured against — and the cheapest backend
     when the batch is small.
 :class:`ProcessFabric`
     A ``ProcessPoolExecutor`` fan-out (the pool logic that used to live
     inside ``repro.parallel.ParallelEvaluator``).  One task maps to one
     pool future; a broken pool is torn down and lazily rebuilt.
-:class:`~repro.fabric.remote.RemoteFabric`
-    Ships tasks as JSON to ``POST /tasks`` on service workers
-    (:mod:`repro.fabric.remote`; wire format in
-    :mod:`repro.fabric.tasks`).
 
 Failure discipline
 ------------------
-:meth:`Fabric.map_outcomes` retries each failed task up to
-``max_retries`` times (0 for the in-process backends: their failures
-are deterministic, so a retry would fail identically) and reports
-per-task outcomes; :meth:`Fabric.map` turns any surviving failure into
-one :class:`FabricExecutionError` with the first task's exception
-chained.  Infrastructure failures that no retry policy can answer — a
-remote fleet with no reachable worker left — raise
-:class:`FabricExecutionError` directly.
+Task failures are deterministic (a pure function fails the same way
+every time), so nothing is retried: :meth:`Fabric.map` runs the whole
+batch and turns any failure into one :class:`FabricExecutionError` with
+the first failed task's exception chained.  A process pool that cannot
+accept work raises :class:`FabricExecutionError` directly.
 
 Every backend emits ``fabric_*`` obs metrics and a ``fabric.map`` span
 per batch (see docs/OBSERVABILITY.md); docs/FABRIC.md is the full
@@ -64,10 +57,9 @@ __all__ = [
 class FabricExecutionError(RuntimeError):
     """A task batch could not be completed.
 
-    Raised by :meth:`Fabric.map` when a task still fails after its
-    bounded retries (the offending exception is chained), and by
-    backends directly on unrecoverable infrastructure failures (e.g. a
-    remote fleet with every worker unreachable).
+    Raised by :meth:`Fabric.map` when a task fails (the offending
+    exception is chained), and by :class:`ProcessFabric` when its pool
+    cannot accept work.
     """
 
 
@@ -86,12 +78,12 @@ class FabricTask:
     """One unit of fabric work: a registered kind plus its payload.
 
     ``kind`` names an entry in the :mod:`repro.fabric.tasks` registry;
-    ``payload`` is the kind's input document — plain JSON-able data
-    (dicts, lists, tuples, ints, strings, bools), so the same task can
-    cross a pickling boundary (:class:`ProcessFabric`) or the JSON wire
-    (:class:`~repro.fabric.remote.RemoteFabric`) unchanged.  The kind's
-    ``run`` function must be a pure function of the payload: that is
-    the whole basis of the backend-interchangeability contract.
+    ``payload`` is the kind's input document — plain picklable data
+    (dicts, lists, tuples, ints, strings, bools), so the same task runs
+    inline (:class:`SerialFabric`) or crosses the pickling boundary
+    (:class:`ProcessFabric`) unchanged.  The kind's ``run`` function
+    must be a pure function of the payload: that is the whole basis of
+    the backend-interchangeability contract.
     """
 
     kind: str
@@ -103,24 +95,19 @@ class FabricTask:
                              f"got {self.kind!r}")
 
 
-#: One task's outcome inside a round: (task index, ok, result-or-exception).
-_RoundOutcome = Tuple[int, bool, object]
+#: One task's outcome: (ok, result-or-exception).
+_Outcome = Tuple[bool, object]
 
 
 class Fabric:
-    """Base class: the retry loop, ordering guarantee and obs plumbing.
+    """Base class: the ordering guarantee, error shape and obs plumbing.
 
-    Subclasses implement :meth:`_run_round` — execute an indexed batch
-    any way they like, reporting one outcome per task — and inherit
-    deterministic reassembly, bounded per-task retry and the metrics.
+    Subclasses implement :meth:`_run` — execute the batch any way they
+    like, reporting one outcome per task in task order — and inherit
+    the failure-to-error translation and the metrics.
 
     Parameters
     ----------
-    max_retries:
-        Re-executions granted to a failing task before it is given up
-        on.  In-process backends default to 0 (their task failures are
-        deterministic); the remote backend defaults higher because a
-        failure there may be a lost shard.
     shards:
         Optional fixed shard-count hint for planners (see
         :meth:`shard_count`); ``None`` lets the planner derive one from
@@ -137,16 +124,12 @@ class Fabric:
 
     def __init__(
         self,
-        max_retries: int = 0,
         shards: Optional[int] = None,
         tracer=None,
         registry: Optional[Registry] = None,
     ) -> None:
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if shards is not None and shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        self.max_retries = max_retries
         self.shards = shards
         self.tracer = maybe_tracer(tracer)
         self.registry = registry if registry is not None else get_registry()
@@ -185,84 +168,45 @@ class Fabric:
     # execution
     # ------------------------------------------------------------------ #
 
-    def _run_round(
-        self, batch: Sequence[Tuple[int, FabricTask]]
-    ) -> List[_RoundOutcome]:
-        """Execute one indexed batch; one outcome per task, any order."""
+    def _run(self, tasks: Sequence[FabricTask]) -> List[_Outcome]:
+        """Execute *tasks*; one ``(ok, value)`` outcome each, in task order."""
         raise NotImplementedError
 
-    def map_outcomes(
-        self, tasks: Sequence[FabricTask]
-    ) -> List[Tuple[bool, object]]:
-        """Run *tasks*, retrying failures; per-task ``(ok, value)`` rows.
+    def map(self, tasks: Sequence[FabricTask]) -> List[object]:
+        """Run *tasks* and return their results in task order.
 
-        The returned list is in task order.  ``value`` is the task's
-        result when ``ok``, else the exception of its final attempt.
-        Unlike :meth:`map`, a failed task does not poison the batch —
-        the service's task endpoint uses this to report per-task errors
-        so the *caller's* retry policy stays in charge.
+        The whole batch runs; any failed task then raises one
+        :class:`FabricExecutionError` chaining the first failure.
         """
         tasks = list(tasks)
         if not tasks:
             return []
         registry = self.registry
         registry.inc("fabric_tasks_total", len(tasks))
-        hist = self.registry.get_histogram(
-            "fabric_map_seconds",
-            "wall clock of one fabric task batch (retries included)")
+        hist = registry.get_histogram(
+            "fabric_map_seconds", "wall clock of one fabric task batch")
         start = time.perf_counter()
-        results: List[Tuple[bool, object]] = [(False, None)] * len(tasks)
-        pending = list(range(len(tasks)))
         with self.tracer.span("fabric.map", backend=self.name,
                               tasks=len(tasks)) as span:
-            attempt = 0
-            while True:
-                outcomes = self._run_round(
-                    [(i, tasks[i]) for i in pending])
-                failed: List[int] = []
-                for i, ok, value in outcomes:
-                    results[i] = (ok, value)
-                    if not ok:
-                        failed.append(i)
-                if not failed or attempt >= self.max_retries:
-                    break
-                attempt += 1
-                failed.sort()
-                registry.inc("fabric_task_retries_total", len(failed))
-                pending = failed
-            span.annotate(retries=attempt,
-                          failed=sum(1 for ok, _ in results if not ok))
-        if any(not ok for ok, _ in results):
-            registry.inc("fabric_failed_tasks_total",
-                         sum(1 for ok, _ in results if not ok))
+            outcomes = self._run(tasks)
+            failures = [(i, value) for i, (ok, value) in enumerate(outcomes)
+                        if not ok]
+            span.annotate(failed=len(failures))
         hist.observe(time.perf_counter() - start)
-        return results
-
-    def map(self, tasks: Sequence[FabricTask]) -> List[object]:
-        """Run *tasks* and return their results in task order.
-
-        Any task still failing after its bounded retries raises one
-        :class:`FabricExecutionError` chaining that task's exception.
-        """
-        outcomes = self.map_outcomes(tasks)
-        failures = [(i, value) for i, (ok, value) in enumerate(outcomes)
-                    if not ok]
         if failures:
+            registry.inc("fabric_failed_tasks_total", len(failures))
             index, exc = failures[0]
-            cause = exc if isinstance(exc, BaseException) else None
             raise FabricExecutionError(
-                f"{len(failures)} of {len(outcomes)} task(s) failed on the "
-                f"{self.name} fabric after {self.max_retries} retr"
-                f"{'y' if self.max_retries == 1 else 'ies'} "
-                f"(first: task {index}: {exc})"
-            ) from cause
+                f"{len(failures)} of {len(tasks)} task(s) failed on the "
+                f"{self.name} fabric (first: task {index}: {exc})"
+            ) from exc
         return [value for _, value in outcomes]
 
 
 class SerialFabric(Fabric):
     """Inline execution, one task after another — the reference backend.
 
-    Bit-identical to every other backend by definition of the task
+    Bit-identical to the process pool by definition of the task
     contract, and the fastest choice when batches are small enough that
     fan-out overhead would dominate.
     """
@@ -270,17 +214,15 @@ class SerialFabric(Fabric):
     name = "serial"
     parallelism = 1
 
-    def _run_round(
-        self, batch: Sequence[Tuple[int, FabricTask]]
-    ) -> List[_RoundOutcome]:
+    def _run(self, tasks: Sequence[FabricTask]) -> List[_Outcome]:
         from .tasks import run_task
 
-        outcomes: List[_RoundOutcome] = []
-        for index, task in batch:
+        outcomes: List[_Outcome] = []
+        for task in tasks:
             try:
-                outcomes.append((index, True, run_task(task)))
+                outcomes.append((True, run_task(task)))
             except Exception as exc:  # noqa: BLE001 — per-task reporting
-                outcomes.append((index, False, exc))
+                outcomes.append((False, exc))
         return outcomes
 
 
@@ -293,9 +235,8 @@ class ProcessFabric(Fabric):
     tear-it-down-on-failure discipline (a broken pool is closed so the
     next batch starts from a clean one).
 
-    Thread-safe: the service's task endpoint shares one instance across
-    handler threads (``ProcessPoolExecutor.submit`` is thread-safe; the
-    pool create/teardown path is lock-guarded).
+    Thread-safe: ``ProcessPoolExecutor.submit`` is thread-safe and the
+    pool create/teardown path is lock-guarded.
     """
 
     name = "process"
@@ -304,15 +245,13 @@ class ProcessFabric(Fabric):
         self,
         jobs: int,
         start_method: Optional[str] = None,
-        max_retries: int = 0,
         shards: Optional[int] = None,
         tracer=None,
         registry: Optional[Registry] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        super().__init__(max_retries=max_retries, shards=shards,
-                         tracer=tracer, registry=registry)
+        super().__init__(shards=shards, tracer=tracer, registry=registry)
         self.jobs = jobs
         self.parallelism = jobs
         self.start_method = start_method or preferred_start_method()
@@ -338,9 +277,7 @@ class ProcessFabric(Fabric):
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
 
-    def _run_round(
-        self, batch: Sequence[Tuple[int, FabricTask]]
-    ) -> List[_RoundOutcome]:
+    def _run(self, tasks: Sequence[FabricTask]) -> List[_Outcome]:
         from .tasks import run_task
 
         dispatch = self.registry.get_histogram(
@@ -353,29 +290,29 @@ class ProcessFabric(Fabric):
             # is thread-safe.
             dispatch.observe(time.perf_counter() - submitted)
 
-        futures: List[Tuple[int, Future]] = []
+        futures: List[Future] = []
         try:
-            for index, task in batch:
+            for task in tasks:
                 future = self._pool().submit(run_task, task)
                 future.add_done_callback(_observe_done)
-                futures.append((index, future))
+                futures.append(future)
         except Exception as exc:  # pool is broken before/while submitting
-            for _index, future in futures:
+            for future in futures:
                 future.cancel()
             self.close()
             raise FabricExecutionError(
                 f"the {self.name} fabric could not submit tasks "
                 f"({self.jobs} job(s)): {exc}"
             ) from exc
-        outcomes: List[_RoundOutcome] = []
+        outcomes: List[_Outcome] = []
         broken = False
-        for index, future in futures:
+        for future in futures:
             try:
-                outcomes.append((index, True, future.result()))
+                outcomes.append((True, future.result()))
             except Exception as exc:  # noqa: BLE001 — per-task reporting
-                outcomes.append((index, False, exc))
+                outcomes.append((False, exc))
                 # A hard-killed worker breaks the whole pool; tear it
-                # down so any retry (or the next batch) gets a fresh one.
+                # down so the next batch gets a fresh one.
                 from concurrent.futures.process import BrokenProcessPool
 
                 if isinstance(exc, BrokenProcessPool):

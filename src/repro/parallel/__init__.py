@@ -23,14 +23,13 @@ session's :class:`~repro.sim.TruthTableCache` and the global
 runs unchanged and finds its expensive questions pre-answered.
 
 *Where* the tasks run is the fabric's business, not the planner's: the
-same priming loop drives :class:`~repro.fabric.SerialFabric` (inline),
-:class:`~repro.fabric.ProcessFabric` (the local pool that used to live
-inside this module) and :class:`~repro.fabric.RemoteFabric` (a worker
-fleet over HTTP).  ``docs/PARALLEL.md`` documents the planner;
+same priming loop drives :class:`~repro.fabric.SerialFabric` (inline)
+and :class:`~repro.fabric.ProcessFabric` (the local pool that used to
+live inside this module).  ``docs/PARALLEL.md`` documents the planner;
 ``docs/FABRIC.md`` documents the execution layer.
 
 **Determinism contract.**  Reports are bit-identical at any ``--jobs``
-value, on any fabric backend, at any shard count, because workers only
+value, on either fabric backend, at any shard count, because workers only
 ever compute pure functions the sweep would otherwise compute inline: a
 cache hit is indistinguishable from a local evaluation, merge order
 cannot matter (equal keys hold equal values), and every selection
@@ -130,7 +129,8 @@ class ParallelEvaluator:
         ``fabric_*`` series); default: the process-wide registry.
     fabric:
         An externally-owned :class:`~repro.fabric.Fabric` to execute on
-        (e.g. a :class:`~repro.fabric.RemoteFabric`).  The evaluator
+        (e.g. a :class:`~repro.fabric.SerialFabric` with pinned
+        shards).  The evaluator
         never closes a caller-provided fabric; without one it lazily
         creates — and owns — a process fabric from *jobs* /
         *start_method*.

@@ -602,9 +602,8 @@ def procedure2(
         docs/MEMO.md).
     fabric:
         Optional :class:`repro.fabric.Fabric` to run candidate
-        evaluation on (serial, local process pool, or a remote worker
-        fleet — docs/FABRIC.md).  The report is bit-identical on every
-        backend at any shard count; the caller owns the fabric's
+        evaluation on (serial or local process pool — docs/FABRIC.md).
+        The report is bit-identical on both backends at any shard count; the caller owns the fabric's
         lifecycle.  Without one, ``jobs > 1`` creates a process fabric
         internally, as before.
     """

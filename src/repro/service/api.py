@@ -9,14 +9,6 @@ per-job directories, and the metrics registry.  It is usable without
 HTTP; the CLI and tests drive it directly, and the asyncio front end
 (:class:`repro.service.asgi.ServiceServer`) serves it over HTTP — see
 docs/SERVICE.md for the routes.
-
-The ``/tasks`` endpoint is what turns a fleet of ``serve`` processes
-into :class:`~repro.fabric.RemoteFabric` workers: each request carries a
-batch of wire-encoded pure-function tasks, executed on the service's own
-task fabric (serial for ``--task-workers 1``, a process pool above
-that) with per-task outcomes reported — retry policy stays with the
-*calling* fabric, which knows whether a failure was the task or the
-transport.
 """
 
 from __future__ import annotations
@@ -28,8 +20,6 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..fabric.core import Fabric, ProcessFabric, SerialFabric
-from ..fabric.tasks import decode_task, encode_result
 from ..obs import Registry
 from .index import JobIndex, default_index_path
 from .jobspec import JobSpec
@@ -63,15 +53,12 @@ class ResynthesisService:
         max_workers: int = 2,
         metrics: Optional[Registry] = None,
         worker_command=None,
-        task_workers: int = 0,
         tenants: Optional[TenantRegistry] = None,
         queue_limit: int = 0,
         tenants_file: Optional[str] = None,
     ) -> None:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if task_workers < 0:
-            raise ValueError("task_workers must be >= 0")
         if queue_limit < 0:
             raise ValueError("queue_limit must be >= 0 (0 = unbounded)")
         self.store = store
@@ -85,15 +72,6 @@ class ResynthesisService:
         self.queue_limit = queue_limit
         self._max_workers = max_workers
         self._worker_command = worker_command  # None -> the real worker
-        # The /tasks execution fabric.  max_retries=0: the server reports
-        # per-task outcomes and the *calling* fabric owns retry policy
-        # (it alone can tell a lost shard from a poisoned task).
-        self.task_fabric: Optional[Fabric] = None
-        if task_workers == 1:
-            self.task_fabric = SerialFabric(registry=self.metrics)
-        elif task_workers > 1:
-            self.task_fabric = ProcessFabric(task_workers,
-                                             registry=self.metrics)
         # Heap entries: (-priority, admission_seq, job_id).
         self._queue: List[Tuple[int, int, str]] = []
         self._admit_seq = 0
@@ -154,8 +132,6 @@ class ResynthesisService:
                         return
                 time.sleep(0.05)
         finally:
-            if self.task_fabric is not None:
-                self.task_fabric.close()
             if self.store.on_status == self._on_status:
                 self.store.on_status = None
             self.index.close()
@@ -404,35 +380,6 @@ class ResynthesisService:
                 self.metrics.set_gauge("service_running_jobs",
                                        len(self._active))
             self._wakeup.set()
-
-    # -- fabric tasks ---------------------------------------------------- #
-
-    def run_tasks(self, docs: List[object]) -> List[Dict[str, object]]:
-        """Decode and execute wire task documents; per-task outcome rows.
-
-        Raises :class:`ValueError` when any document fails its kind's
-        strict decode (the handler answers 400 — a malformed task is the
-        *request's* fault).  Execution failures, by contrast, land in
-        the task's own ``{"ok": false, "error": ...}`` row so one
-        poisoned task cannot hide its shard-mates' results.
-        """
-        if self.task_fabric is None:
-            raise RuntimeError("task execution is not enabled")
-        tasks = [decode_task(doc) for doc in docs]
-        self.metrics.inc("service_tasks_total", len(tasks))
-        outcomes = self.task_fabric.map_outcomes(tasks)
-        rows: List[Dict[str, object]] = []
-        errors = 0
-        for task, (ok, value) in zip(tasks, outcomes):
-            if ok:
-                rows.append({"ok": True,
-                             "result": encode_result(task.kind, value)})
-            else:
-                errors += 1
-                rows.append({"ok": False, "error": str(value)})
-        if errors:
-            self.metrics.inc("service_task_errors_total", errors)
-        return rows
 
     # -- views ---------------------------------------------------------- #
 

@@ -22,7 +22,6 @@ This is the multi-tenant, connection-cheap HTTP face of
     GET  /sweeps/<id>/report     aggregate report + Pareto front
     GET  /metrics                JSON or Prometheus (Accept-negotiated)
     GET  /version                API + service version document
-    POST /tasks                  fabric task execution (docs/FABRIC.md)
 
 Error bodies are always ``{"error": "..."}``; 429 responses add a
 ``Retry-After`` header.  The full reference table lives in
@@ -39,9 +38,8 @@ of watched jobs (worker subprocesses append there directly) every
 connections — ten thousand streams over one hot job are one file stat
 per tick.
 
-*Blocking work leaves the loop.*  Store reads, SQLite queries and
-``/tasks`` execution run on the loop's default thread-pool executor via
-``asyncio.to_thread``; the event loop itself only parses HTTP, routes,
+*Blocking work leaves the loop.*  Store reads and SQLite queries run on
+the loop's default thread-pool executor via ``asyncio.to_thread``; the event loop itself only parses HTTP, routes,
 and waits.
 
 *Determinism is untouched.*  The front end only admits, observes and
@@ -334,8 +332,6 @@ class ServiceApp:
             await self._submit_batch(headers, body, send)
         elif method == "POST" and parts == ["sweeps"]:
             await self._submit_sweep(headers, body, send)
-        elif method == "POST" and parts == ["tasks"]:
-            await self._run_tasks(body, send)
         elif method in ("GET", "HEAD"):
             await self._route_get(parts, query, headers, send)
         else:
@@ -692,24 +688,6 @@ class ServiceApp:
             if not changed:
                 await emit(": keepalive\n\n")
 
-    # -- fabric tasks ----------------------------------------------------- #
-
-    async def _run_tasks(self, body, send) -> None:
-        if self.service.task_fabric is None:
-            raise _HTTPAnswer(404, "task execution not enabled "
-                                   "(start with serve --task-workers N)")
-        doc = self._parse_body_json(body)
-        if not isinstance(doc, dict) or not isinstance(
-                doc.get("tasks"), list):
-            raise _HTTPAnswer(400, "request body is not {'tasks': [...]}")
-        try:
-            rows = await asyncio.to_thread(
-                self.service.run_tasks, doc["tasks"])
-        except ValueError as exc:
-            raise _HTTPAnswer(
-                400, f"invalid task document: {exc}") from None
-        await self._send_json(send, 200, {"results": rows})
-
     # -- response plumbing ----------------------------------------------- #
 
     async def _send_raw(self, send, status: int, body: bytes,
@@ -754,7 +732,6 @@ class ServiceServer:
         config: Optional[SupervisorConfig] = None,
         max_workers: int = 2,
         verbose: bool = False,
-        task_workers: int = 0,
         tenants: Optional[TenantRegistry] = None,
         queue_limit: int = 0,
         sse_keepalive: float = SSE_KEEPALIVE_SECONDS,
@@ -762,7 +739,7 @@ class ServiceServer:
     ) -> None:
         self.service = ResynthesisService(
             store, config=config, max_workers=max_workers,
-            task_workers=task_workers, tenants=tenants,
+            tenants=tenants,
             queue_limit=queue_limit, tenants_file=tenants_file,
         )
         self.app = ServiceApp(self.service, verbose=verbose,

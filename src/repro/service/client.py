@@ -57,9 +57,8 @@ class ServiceAPIError(RuntimeError):
 class ServiceConnectionError(OSError):
     """The server could not be reached (after any retries).
 
-    Subclasses :class:`OSError` so generic connection-error handling —
-    e.g. :class:`repro.fabric.RemoteFabric`'s lost-shard path — catches
-    it without knowing this module.
+    Subclasses :class:`OSError` so generic connection-error handling
+    catches it without knowing this module.
     """
 
     def __init__(self, message: str, attempts: int) -> None:
@@ -243,17 +242,6 @@ class ServiceClient:
     def metrics(self) -> Dict[str, object]:
         """``GET /metrics``."""
         return self._request("GET", "/metrics")
-
-    def run_tasks(self, task_docs: List[Dict[str, object]]
-                  ) -> Dict[str, object]:
-        """``POST /tasks`` — execute fabric task documents on the server.
-
-        Returns ``{"results": [{"ok": true, "result": ...} |
-        {"ok": false, "error": ...}, ...]}`` in task order.  Not retried
-        here (a POST): :class:`repro.fabric.RemoteFabric` owns the
-        redispatch policy for lost shards.
-        """
-        return self._request("POST", "/tasks", body={"tasks": task_docs})
 
     # -- sweeps ---------------------------------------------------------- #
 

@@ -22,9 +22,9 @@ def procedure_call(spec: JobSpec):
     """The procedure callable for *spec*, with spec knobs bound.
 
     Shared by :func:`run_job` and the fabric's ``resynth_cell`` task
-    kind (:mod:`repro.fabric.tasks`), so a sweep cell executed on a
-    remote fleet member runs through exactly the code path a standalone
-    job does — the basis of the cell/job bit-identity contract.
+    kind (:mod:`repro.fabric.tasks`), so a sweep cell runs through
+    exactly the code path a standalone job does — the basis of the
+    cell/job bit-identity contract.
     """
     common = dict(
         k=spec.k,
@@ -51,7 +51,6 @@ def run_job(
     on_pass: Optional[Callable[[PassCheckpoint], None]] = None,
     progress: Optional[Callable[[], None]] = None,
     memo=None,
-    fabric=None,
 ) -> ResynthesisReport:
     """Execute the job, resuming from its latest checkpoint if one exists.
 
@@ -66,12 +65,6 @@ def run_job(
     is handed to the procedure as the persistent identification cache.
     It is deliberately not part of the spec (and so not of the job id):
     it cannot change the report, only the wall clock.
-
-    *fabric* — an optional :class:`repro.fabric.Fabric` — routes the
-    job's candidate evaluation (e.g. to a remote worker fleet, letting
-    one service job fan its identification round across hosts).  Like
-    the memo, it is execution placement, not job identity: reports are
-    bit-identical on any backend, so it stays out of the spec.
     """
     spec = store.load_spec(job_id)
     circuit = resolve_circuit(spec)
@@ -101,7 +94,7 @@ def run_job(
 
     proc = procedure_call(spec)
     report = proc(circuit, on_pass=checkpoint_hook, resume=resume,
-                  memo=memo, fabric=fabric)
+                  memo=memo)
     store.write_report(job_id, report)
     store.append_event(
         job_id, "completed",

@@ -57,13 +57,6 @@ class SupervisorConfig:
     #: bit-identical with or without it, which is also why it is *not*
     #: part of the job spec's content address.
     memo_root: Optional[str] = None
-    #: Opt-in remote fabric (docs/FABRIC.md): URLs of task-serving
-    #: services.  When set, every job worker is launched with one
-    #: ``--task-worker`` per URL, so a single service job fans its
-    #: per-pass candidate evaluation out to that fleet.  Execution
-    #: placement only — reports stay bit-identical — so, like the memo,
-    #: it is not part of the job spec's content address.
-    fabric_workers: tuple = ()
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -99,8 +92,6 @@ def default_worker_command(store: ArtifactStore, job_id: str,
     ]
     if config.memo_root:
         command += ["--memo", config.memo_root]
-    for url in config.fabric_workers:
-        command += ["--task-worker", url]
     return command
 
 

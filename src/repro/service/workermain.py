@@ -28,11 +28,6 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--heartbeat-interval", type=float, default=1.0)
     parser.add_argument("--memo", default=None,
                         help="shared identification cache directory")
-    parser.add_argument("--task-worker", action="append", default=[],
-                        metavar="URL", dest="task_workers",
-                        help="remote fabric worker URL (repeatable): the "
-                             "job's candidate evaluation fans out to "
-                             "these POST /tasks endpoints")
     try:
         args = parser.parse_args(argv)
     except SystemExit:
@@ -58,14 +53,9 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
     try:
         from .runner import run_job
 
-        fabric = None
-        if args.task_workers:
-            from ..fabric.remote import RemoteFabric
-
-            fabric = RemoteFabric(args.task_workers)
         run_job(store, args.job_id,
                 progress=lambda: store.heartbeat(args.job_id),
-                memo=args.memo, fabric=fabric)
+                memo=args.memo)
         return 0
     except BaseException as exc:  # noqa: BLE001 — the whole point is capture
         store.write_worker_error(

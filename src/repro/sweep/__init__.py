@@ -10,7 +10,7 @@ over ``(gates, paths, depth)``:
   cell *is* a :class:`~repro.service.jobspec.JobSpec`, so cell reports
   are bit-identical to standalone runs and dedupe against them.
 * :class:`SweepRunner` (:mod:`runner`) — dispatches cells as whole
-  ``resynth_cell`` fabric tasks (serial / process pool / remote fleet),
+  ``resynth_cell`` fabric tasks (serial or process pool),
   persisting every finished cell crash-safely so an interrupted sweep
   resumes bit-identically with only unfinished cells re-run.
 * :class:`SweepReport` (:mod:`report`) — the per-cell table plus the

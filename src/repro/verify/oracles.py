@@ -34,7 +34,7 @@ executable check over a (usually randomly generated) instance:
     The determinism contract: Procedures 2 and 3 return the same report
     numbers and netlist on every execution path.  One driver,
     :class:`LegOracle`, runs a cold reference and then each oracle's
-    *legs* — worker pools and remote fabrics, a JSON round-tripped
+    *legs* — worker pools and explicit fabrics, a JSON round-tripped
     checkpoint resume, persistent-memo runs, sweep backends, a resumed
     sweep and every sweep cell as a standalone job — comparing each with
     :func:`report_divergence` and applying the leg's own checks.  The
@@ -462,9 +462,8 @@ class Leg:
 class LegEnv(ExitStack):
     """Per-check state of a :class:`LegOracle`.
 
-    Scratch directories and the loopback task server of the remote legs
-    live on this exit stack, so both are gone when the check ends.  Each
-    fabric is open only for the run of its leg.
+    Scratch directories live on this exit stack, so they are gone when
+    the check ends.  Each fabric is open only for the run of its leg.
     """
 
     def __init__(self, circuit: Circuit, seed: int, salt: int) -> None:
@@ -476,30 +475,14 @@ class LegEnv(ExitStack):
         self.call: Optional[Callable] = None  # procedure, knobs bound
         self.checkpoints: List[object] = []  # of the reference run
         self.spec = None  # the sweep oracle's grid
-        self._url: Optional[str] = None
 
     def tempdir(self) -> str:
         return self.enter_context(
             tempfile.TemporaryDirectory(prefix="repro-fuzz-"))
 
-    def remote_fabric(self, shards: int, registry=None):
-        """A fabric over the loopback ``task_workers=1`` server, which
-        is started on first use."""
-        from ..fabric.remote import RemoteFabric
-        from ..service import ArtifactStore, ServiceServer
-
-        if self._url is None:
-            server = ServiceServer(ArtifactStore(self.tempdir()),
-                                   task_workers=1)
-            self._url = self.enter_context(server).url
-        return RemoteFabric([self._url], shards=shards,
-                            heartbeat_timeout=60.0, registry=registry)
-
 
 #: Worker processes of the ``jobs`` and ``process`` legs.
 LEG_JOBS = 2
-#: Shard counts of the ``parallel`` oracle's remote legs.
-REMOTE_SHARDS = (1, 2)
 
 
 @dataclass
@@ -599,17 +582,22 @@ class LegOracle(Oracle):
 
 
 class ParallelOracle(LegOracle):
-    """Backend equivalence (docs/FABRIC.md).  The remote legs cross the
-    JSON wire, so the codecs of :mod:`repro.fabric.tasks` are fuzzed too."""
+    """Backend equivalence (docs/FABRIC.md): the procedure's own pool,
+    then an explicit fabric of each backend at a pinned shard count."""
 
     name = "parallel"
 
     def legs(self, env: LegEnv) -> Iterator[Leg]:
+        from ..fabric import ProcessFabric, SerialFabric
+
         yield self._fabric_leg(env, f"jobs={LEG_JOBS}", jobs=LEG_JOBS)
-        for shards in REMOTE_SHARDS:
-            yield self._fabric_leg(
-                env, f"remote shards={shards}",
-                functools.partial(env.remote_fabric, shards))
+        yield self._fabric_leg(
+            env, "serial shards=1",
+            lambda registry: SerialFabric(shards=1, registry=registry))
+        yield self._fabric_leg(
+            env, "process shards=2",
+            lambda registry: ProcessFabric(LEG_JOBS, shards=2,
+                                           registry=registry))
 
     @staticmethod
     def _fabric_leg(env: LegEnv, label: str, make_fabric=None,
@@ -769,8 +757,6 @@ class SweepOracle(LegOracle):
 
         yield Leg(f"process jobs={LEG_JOBS}", lambda: self._sweep(
             env, ProcessFabric(LEG_JOBS)))
-        yield Leg("remote shards=2", lambda: self._sweep(
-            env, env.remote_fabric(2)))
         yield self._resume_leg(env)
         yield Leg("standalone", lambda: self._standalone(env))
 

@@ -3,15 +3,14 @@
 A procedure run with ``fabric=`` must produce a report and netlist
 bit-identical to the plain serial run — for any backend, at any shard
 count.  The ``parallel`` fuzz oracle sweeps this across random circuits;
-these tests pin one deliberate case per backend, including a remote leg
-against a real in-process service server.
+these tests pin one deliberate case per backend.
 """
 
 import pytest
 
 from repro.benchcircuits.suite import suite_circuit
 from repro.comparison import identification_cache
-from repro.fabric import SerialFabric
+from repro.fabric import ProcessFabric, SerialFabric
 from repro.resynth import procedure2
 from repro.verify import report_divergence
 
@@ -37,20 +36,11 @@ class TestFabricBitIdentity:
         assert report_divergence(baseline, report) == []
         assert report.timings["fabric"] == "serial"
 
-    def test_remote_fabric_against_real_server(self, baseline, tmp_path):
-        from repro.fabric.remote import RemoteFabric
-        from repro.service import ArtifactStore, ServiceServer
-
-        server = ServiceServer(ArtifactStore(str(tmp_path / "store")),
-                               task_workers=1)
-        server.start()
-        try:
-            fabric = RemoteFabric([server.url, server.url], shards=2,
-                                  heartbeat_timeout=60.0)
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_process_fabric_any_shard_count(self, baseline, shards):
+        with ProcessFabric(2, shards=shards) as fabric:
             report = procedure2(suite_circuit("syn1423"),
                                 fabric=fabric, **KNOBS)
-        finally:
-            server.stop()
         identification_cache().clear()
         assert report_divergence(baseline, report) == []
-        assert report.timings["fabric"] == "remote"
+        assert report.timings["fabric"] == "process"

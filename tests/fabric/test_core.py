@@ -1,7 +1,7 @@
-"""Fabric base machinery: ordering, retries, error shape, lifecycle.
+"""Fabric base machinery: ordering, error shape, lifecycle.
 
 These tests drive the backends through a throwaway ``test-echo`` task
-kind (registered here, never shipped) so the retry loop and ordering
+kind (registered here, never shipped) so the error shape and ordering
 guarantee are pinned independently of the production extract/identify
 kinds — those are exercised via :class:`ProcessFabric` below, which
 needs kinds the pool's child processes can import.
@@ -23,26 +23,13 @@ from repro.fabric import (
 from repro.obs import Registry
 from repro.parallel.worker import identify_chunk
 
-#: Attempt log for the flaky kind, keyed by test-chosen token.
-_ATTEMPTS = {}
-
-
 def _echo_run(payload):
     if payload.get("error"):
         raise RuntimeError(payload["error"])
     return payload["value"]
 
 
-def _flaky_run(payload):
-    token = payload["token"]
-    _ATTEMPTS[token] = _ATTEMPTS.get(token, 0) + 1
-    if _ATTEMPTS[token] <= payload["failures"]:
-        raise RuntimeError(f"flaky failure {_ATTEMPTS[token]}")
-    return payload["value"]
-
-
 register_task_kind(TaskKind(name="test-echo", run=_echo_run))
-register_task_kind(TaskKind(name="test-flaky", run=_flaky_run))
 
 
 def echo(value, error=None):
@@ -84,16 +71,6 @@ class TestSerialFabric:
 
     def test_empty_batch(self):
         assert SerialFabric().map([]) == []
-        assert SerialFabric().map_outcomes([]) == []
-
-    def test_map_outcomes_reports_per_task(self):
-        fabric = SerialFabric()
-        rows = fabric.map_outcomes(
-            [echo(1), echo(None, error="boom"), echo(3)])
-        assert rows[0] == (True, 1)
-        ok, exc = rows[1]
-        assert not ok and isinstance(exc, RuntimeError)
-        assert rows[2] == (True, 3)
 
     def test_map_failure_is_one_clean_error(self):
         fabric = SerialFabric()
@@ -101,34 +78,23 @@ class TestSerialFabric:
             fabric.map([echo(1), echo(None, error="boom"), echo(3)])
         message = str(err.value)
         assert "1 of 3 task(s) failed on the serial fabric" in message
-        assert "after 0 retries" in message
         assert "task 1" in message
         assert isinstance(err.value.__cause__, RuntimeError)
 
-    def test_bounded_retry_recovers_flaky_task(self):
+    def test_whole_batch_runs_before_the_error(self):
+        # The first failure is named, but every task ran and every
+        # failure is counted.
         registry = Registry()
-        fabric = SerialFabric(max_retries=2, registry=registry)
-        task = FabricTask("test-flaky", {
-            "token": "recovers", "failures": 2, "value": 42})
-        assert fabric.map([echo(1), task]) == [1, 42]
-        assert _ATTEMPTS["recovers"] == 3
-        assert registry.counter_value("fabric_task_retries_total") == 2
-        # Only the failing task was retried, not its healthy batch-mate.
-        assert registry.counter_value("fabric_tasks_total") == 2
-
-    def test_retry_budget_is_bounded(self):
-        registry = Registry()
-        fabric = SerialFabric(max_retries=1, registry=registry)
-        task = FabricTask("test-flaky", {
-            "token": "exhausted", "failures": 5, "value": 0})
-        with pytest.raises(FabricExecutionError, match="after 1 retry"):
-            fabric.map([task])
-        assert _ATTEMPTS["exhausted"] == 2
-        assert registry.counter_value("fabric_failed_tasks_total") == 1
+        fabric = SerialFabric(registry=registry)
+        with pytest.raises(FabricExecutionError) as err:
+            fabric.map([echo(1), echo(None, error="first"),
+                        echo(None, error="second")])
+        assert "2 of 3 task(s) failed" in str(err.value)
+        assert "task 1: first" in str(err.value)
+        assert registry.counter_value("fabric_tasks_total") == 3
+        assert registry.counter_value("fabric_failed_tasks_total") == 2
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            SerialFabric(max_retries=-1)
         with pytest.raises(ValueError):
             SerialFabric(shards=0)
 

@@ -5,7 +5,7 @@ for GETs only (idempotent); POSTs fail fast (a lost response could
 mean a duplicate submission); server-answered errors are deterministic
 and never retried.  The retry budget exhausts into
 :class:`ServiceConnectionError` — an ``OSError`` subclass so generic
-connection handling (RemoteFabric's lost-shard path) catches it.
+connection handling catches it.
 """
 
 import socket
@@ -57,7 +57,7 @@ class TestConnectionRetries:
     def test_post_is_never_retried(self):
         client, sleeps = recording_client(retries=5)
         with pytest.raises(ServiceConnectionError) as err:
-            client.run_tasks([])
+            client.submit_batch_docs([])
         assert err.value.attempts == 1
         assert sleeps == []
 

@@ -38,6 +38,53 @@ class TestResynth:
         assert "paths" in capsys.readouterr().out
 
 
+class TestWorkerCounts:
+    @pytest.mark.parametrize("command", ["resynth", "sweep"])
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_bad_jobs_is_a_clean_usage_error(self, command, jobs,
+                                             bench_file, capsys):
+        target = (["--grid", bench_file] if command == "sweep"
+                  else [bench_file])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *target, "--jobs", jobs])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [errors[0]]
+        assert "argument --jobs: must be a positive integer" in errors[0]
+
+    @pytest.mark.parametrize("command", ["resynth", "sweep"])
+    def test_process_fabric_runs_exactly_jobs_workers(
+            self, command, bench_file, tmp_path, monkeypatch, capsys):
+        import json
+
+        import repro.fabric
+        from repro.io.json_io import circuit_to_json
+
+        started = []
+
+        class Recording(repro.fabric.ProcessFabric):
+            def __init__(self, jobs, **kwargs):
+                started.append(jobs)
+                super().__init__(jobs, **kwargs)
+
+        monkeypatch.setattr(repro.fabric, "ProcessFabric", Recording)
+        if command == "sweep":
+            grid = tmp_path / "grid.json"
+            grid.write_text(json.dumps({
+                "format": "repro-sweepspec",
+                "circuits": [json.loads(circuit_to_json(c17()))],
+                "procedures": ["procedure2"], "ks": [3], "seeds": [1],
+                "verify_patterns": 0}))
+            argv = ["sweep", "--grid", str(grid),
+                    "--out", str(tmp_path / "sweep")]
+        else:
+            argv = ["resynth", bench_file, "--k", "4"]
+        assert main(argv + ["--fabric", "process", "--jobs", "1"]) == 0
+        assert started == [1]
+
+
 class TestIdentify:
     def test_identify_known_net(self, bench_file, capsys):
         assert main(["identify", bench_file, "22", "--k", "4"]) == 0

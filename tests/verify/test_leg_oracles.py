@@ -49,22 +49,23 @@ class TestReportDivergence:
 
 
 class TestTeeth:
-    def test_corrupted_remote_results_name_the_leg(self, monkeypatch):
-        # Drop every hit from the identify results a remote worker sends
-        # back: the remote legs install "no realization" answers and
-        # find fewer replacements than the serial reference.
+    def test_corrupted_fabric_results_name_the_leg(self, monkeypatch):
+        # Drop every hit from the identify task's results (forked pool
+        # workers inherit the patched registry): the fabric legs install
+        # "no realization" answers and find fewer replacements than the
+        # serial reference, which never runs a fabric task.
         kind = repro.fabric.tasks.task_kind("identify")
 
-        def lossy(value):
+        def lossy(payload):
             return [(table, n, (), tried)
-                    for table, n, _hits, tried in kind.decode_result(value)]
+                    for table, n, _hits, tried in kind.run(payload)]
 
         monkeypatch.setitem(repro.fabric.tasks._KINDS, "identify",
-                            dataclasses.replace(kind, decode_result=lossy))
+                            dataclasses.replace(kind, run=lossy))
         violations = ParallelOracle().check_circuit(circuit(), seed=7)
         assert violations
         legs = {v.details["leg"] for v in violations}
-        assert legs <= {"remote shards=1", "remote shards=2"}
+        assert legs == {"jobs=2", "serial shards=1", "process shards=2"}
         assert all(v.details["leg"] in v.message for v in violations)
 
     def test_idle_fabric_is_detected(self, monkeypatch):
@@ -77,7 +78,7 @@ class TestTeeth:
         assert violations
         assert all("ran no tasks" in v.message for v in violations)
         assert {v.details["leg"] for v in violations} == {
-            "jobs=2", "remote shards=1", "remote shards=2"}
+            "jobs=2", "serial shards=1", "process shards=2"}
 
     def test_unrecorded_backend_is_detected(self, monkeypatch):
         # A run that forgets which fabric it used still gets every number
@@ -94,7 +95,7 @@ class TestTeeth:
         assert violations
         assert all("timings" in v.message for v in violations)
         assert {v.details["leg"] for v in violations} == {
-            "remote shards=1", "remote shards=2"}
+            "serial shards=1", "process shards=2"}
 
     def test_store_dropping_every_put_is_detected(self, monkeypatch):
         # Nothing recorded means nothing to hit: the warm leg misses
