@@ -12,7 +12,9 @@ Checks, in order:
    (format header, required span keys, creation-ordered parents);
 2. the span tree matches the taxonomy in docs/OBSERVABILITY.md — one
    ``run`` root whose ``pass`` children agree with the report's pass
-   count, each carrying replacement and truth-table-cache columns;
+   count, each carrying replacement and truth-table-cache columns and
+   the work counts (``sites``, ``sites_reused`` ≤ ``sites``,
+   ``cones_evaluated``, ``searches``);
 3. the per-pass span durations reconcile with the report's
    ``timings``: each ``pass`` span wall clock matches its
    ``pass_seconds`` entry, and their sum stays within tolerance of
@@ -90,9 +92,14 @@ def main():
         for span in passes:
             if span["parent"] != run["span"]:
                 fail(f"pass span {span['span']} not under the run root")
-            for key in ("pass_no", "replacements", "tt_hits", "tt_misses"):
+            for key in ("pass_no", "replacements", "tt_hits", "tt_misses",
+                        "sites", "sites_reused", "cones_evaluated",
+                        "searches"):
                 if key not in span["attrs"]:
                     fail(f"pass span missing attr {key!r}")
+            if span["attrs"]["sites_reused"] > span["attrs"]["sites"]:
+                fail(f"pass {span['attrs']['pass_no']} reused more sites "
+                     f"than it visited")
         if run["attrs"].get("replacements") != report.replacements:
             fail("run span replacement count disagrees with the report")
         names = {s["name"] for s in spans}
@@ -132,7 +139,7 @@ def main():
         if code != 0:
             fail(f"trace subcommand exited {code}")
         for needle in ("per-stage totals:", "per-pass breakdown:",
-                       "tt_hits"):
+                       "tt_hits", "reused", "searches"):
             if needle not in rendered:
                 fail(f"trace summary missing {needle!r}")
         print("summary: repro-resynth trace renders ok", flush=True)

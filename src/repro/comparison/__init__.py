@@ -11,6 +11,7 @@ from .identify import (
     identify_comparison,
     identify_positions,
     is_comparison_function,
+    search_seed,
     warm_identification_cache,
 )
 from .unit import (
@@ -78,6 +79,7 @@ __all__ = [
     "identify_positions",
     "is_comparison_exact",
     "is_comparison_function",
+    "search_seed",
     "leq_block_threshold",
     "robust_tests_for_unit",
     "unit_cost",

@@ -24,6 +24,7 @@ results, permutation for permutation.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -96,6 +97,23 @@ def _lsb_condition_holds(bits: List[Tuple[int, ...]], n: int) -> bool:
     return False
 
 
+def is_exhaustive(n: int, perm_budget: int) -> bool:
+    """True when a search over *n* inputs tries every permutation."""
+    return math.factorial(n) <= perm_budget
+
+
+def search_seed(n: int, perm_budget: int, seed: int) -> int:
+    """The seed a search over *n* inputs actually reads.
+
+    An exhaustive search (``n! <= perm_budget``) enumerates permutations
+    lexicographically and never reads its seed, so it is keyed, sampled
+    and memoized under seed 0; a sampled search keeps *seed*.  Every
+    place that keys or samples a search goes through this helper, so the
+    cache, the memo and the parallel planner agree on one spelling.
+    """
+    return 0 if is_exhaustive(n, perm_budget) else seed
+
+
 def candidate_permutations(
     n: int, perm_budget: int, seed: int = 0
 ) -> Iterator[Tuple[int, ...]]:
@@ -106,10 +124,7 @@ def candidate_permutations(
     distinct permutations is produced, mirroring the paper's "up to 200
     permutations" experimental procedure.
     """
-    total = 1
-    for i in range(2, n + 1):
-        total *= i
-    if total <= perm_budget:
+    if is_exhaustive(n, perm_budget):
         yield from itertools.permutations(range(n))
         return
     rng = random.Random((seed << 8) | n)
@@ -149,8 +164,10 @@ PositionHit = Tuple[Tuple[int, ...], int, int, bool]
 #: The memoized value of one position-level search: (hits, permutations tried).
 PositionResult = Tuple[Tuple[PositionHit, ...], int]
 
-#: The cache key of one position-level search.  All six components change
-#: the search outcome, so all six are part of the key.
+#: The cache key of one position-level search: the argument tuple of
+#: :func:`identify_positions` with the seed canonicalized by
+#: :func:`search_seed`.  The seed changes the outcome only of a sampled
+#: search; the other five components always can.
 PositionKey = Tuple[int, int, int, bool, int, int]
 
 
@@ -164,11 +181,14 @@ def identification_key(
 ) -> PositionKey:
     """Build the :class:`IdentificationCache` key for one search.
 
-    The key is exactly the argument tuple of :func:`identify_positions`;
-    it exists as a named helper so the coordinator, the worker processes
-    and the cache agree on one canonical spelling.
+    The key is the argument tuple of :func:`identify_positions` with the
+    seed replaced by :func:`search_seed`: searches that differ only in a
+    seed they never read share one entry.  It exists as a named helper so
+    the coordinator, the worker processes and the cache agree on one
+    canonical spelling.
     """
-    return (table, n, perm_budget, try_offset, seed, max_specs)
+    return (table, n, perm_budget, try_offset,
+            search_seed(n, perm_budget, seed), max_specs)
 
 
 class IdentificationCache:
@@ -189,6 +209,7 @@ class IdentificationCache:
         self.hits = 0
         self.misses = 0
         self.warmed = 0
+        self.searches = 0  # misses answered by a search in this process
 
     def __len__(self) -> int:
         return len(self._table)
@@ -250,9 +271,10 @@ def warm_identification_cache(
 
 
 #: Memo of materialized permutation samples keyed by (n, perm_budget,
-#: seed).  One resynthesis pass consumes the same sample tens of thousands
-#: of times; regenerating it per identification call would dominate the
-#: scan itself.
+#: search_seed).  One resynthesis pass consumes the same sample tens of
+#: thousands of times; regenerating it per identification call would
+#: dominate the scan itself.  Exhaustive sizes hold one entry whatever
+#: the seed.
 _PERM_CACHE: Dict[Tuple[int, int, int], Tuple[Tuple[int, ...], ...]] = {}
 
 #: Memo of the NumPy weight matrices derived from the samples above.
@@ -263,6 +285,7 @@ def _permutation_sample(
     n: int, perm_budget: int, seed: int
 ) -> Tuple[Tuple[int, ...], ...]:
     """Materialized (and memoized) :func:`candidate_permutations` output."""
+    seed = search_seed(n, perm_budget, seed)
     key = (n, perm_budget, seed)
     got = _PERM_CACHE.get(key)
     if got is None:
@@ -280,8 +303,10 @@ def _permutation_weights(n: int, perm_budget: int, seed: int):
     for permutation ``p`` the permuted decimal value of a minterm with bit
     tuple ``b`` is ``sum_i b[p[i]] << (n-1-i)``, i.e. a dot product of
     ``b`` with that column.  The matrix depends only on the sample, so it
-    is built once per (n, perm_budget, seed) and reused by every scan.
+    is built once per (n, perm_budget, search_seed) and reused by every
+    scan.
     """
+    seed = search_seed(n, perm_budget, seed)
     key = (n, perm_budget, seed)
     got = _WEIGHTS_CACHE.get(key)
     if got is None:
@@ -445,6 +470,7 @@ def _identify_positions(
         got = identify_positions(
             table, n, perm_budget, try_offset, seed, max_specs
         )
+        _CACHE.searches += 1
         _CACHE.put(key, got)
         if memo is not None:
             memo.record(
@@ -491,10 +517,7 @@ def identify_comparison(
         handle them by direct constant substitution instead.
     """
     n = len(variables)
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    exhaustive = fact <= perm_budget
+    exhaustive = is_exhaustive(n, perm_budget)
     hits, tried = _identify_positions(
         table, n, perm_budget, try_offset, seed, max_specs, memo=memo
     )

@@ -31,6 +31,8 @@ import hashlib
 import json
 from typing import Dict, List
 
+from ..comparison.identify import search_seed
+
 KEY_FORMAT = "repro-memo-key"
 MEMO_VERSION = 1
 
@@ -65,9 +67,11 @@ def memo_key_doc(
 ) -> Dict[str, object]:
     """The canonical key document of one search's entry class.
 
-    Every search knob is part of the key — all of them change the search
-    outcome — alongside the permutation-invariant table signature
-    (input count, ON-set size, sorted ON-column counts).
+    Every search knob that can change the search outcome is part of the
+    key, alongside the permutation-invariant table signature (input
+    count, ON-set size, sorted ON-column counts).  The seed enters as
+    :func:`~repro.comparison.identify.search_seed`: an exhaustive search
+    never reads it, so its entries are shared across seeds.
     """
     return {
         "format": KEY_FORMAT,
@@ -77,7 +81,7 @@ def memo_key_doc(
         "cols": sorted(table_column_counts(table, n)),
         "perm_budget": perm_budget,
         "try_offset": bool(try_offset),
-        "seed": seed,
+        "seed": search_seed(n, perm_budget, seed),
         "max_specs": max_specs,
     }
 

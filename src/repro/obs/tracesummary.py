@@ -6,8 +6,10 @@ via :func:`~repro.obs.read_trace`, and renders three views:
 * **per-stage totals** — wall/CPU time and span counts aggregated by
   span name, with each stage's share of the root span's wall clock;
 * **per-pass breakdown** — one row per ``pass`` span with its wall
-  time, replacements and truth-table-cache hit columns (the attributes
-  the resynthesis sweep attaches);
+  time, replacements, truth-table-cache hit columns and work counts
+  (selection sites, sites whose cached candidates were reused, cones
+  evaluated, permutation searches) — the attributes the resynthesis
+  sweep attaches;
 * **top spans** — the individual spans that cost the most wall time.
 
 ``docs/OBSERVABILITY.md`` walks through reading a real ``syn35932``
@@ -58,6 +60,10 @@ def summarize_trace(path: str) -> Dict[str, object]:
             "tt_hits": hits,
             "tt_misses": misses,
             "tt_hit_rate": rate,
+            "sites": attrs.get("sites"),
+            "sites_reused": attrs.get("sites_reused"),
+            "cones_evaluated": attrs.get("cones_evaluated"),
+            "searches": attrs.get("searches"),
         })
     passes.sort(key=lambda row: (row["pass_no"] is None, row["pass_no"]))
     return {
@@ -114,14 +120,19 @@ def render_trace_summary(path: str, top: int = 10) -> str:
         out.append("")
         out.append("per-pass breakdown:")
         out.append(f"  {'pass':>4} {'wall_s':>10} {'repl':>6} "
-                   f"{'tt_hits':>9} {'tt_miss':>9} {'hit%':>6}")
+                   f"{'tt_hits':>9} {'tt_miss':>9} {'hit%':>6} "
+                   f"{'sites':>6} {'reused':>6} {'cones':>7} "
+                   f"{'searches':>8}")
         for row in passes:
             rate = row["tt_hit_rate"]
             out.append(
                 f"  {_fmt(row['pass_no'], 4)} {_fmt(row['wall_s'], 10)} "
                 f"{_fmt(row['replacements'], 6)} "
                 f"{_fmt(row['tt_hits'], 9)} {_fmt(row['tt_misses'], 9)} "
-                f"{(f'{rate:.1%}' if rate is not None else '-'):>6}"
+                f"{(f'{rate:.1%}' if rate is not None else '-'):>6} "
+                f"{_fmt(row['sites'], 6)} {_fmt(row['sites_reused'], 6)} "
+                f"{_fmt(row['cones_evaluated'], 7)} "
+                f"{_fmt(row['searches'], 8)}"
             )
 
     if top > 0 and spans:

@@ -17,6 +17,10 @@ best replacement is applied:
 
 Each procedure repeats whole passes until a pass makes no change (the
 paper: "applied repeatedly until no more improvements are possible").
+A run-owned :class:`CandidateCache` keeps every site's priced candidates
+across passes and re-enumerates a site only when a circuit change could
+have altered them, so later passes redo only the work a replacement made
+necessary (docs/INCREMENTAL.md).
 
 With ``jobs > 1`` the expensive per-candidate work of each pass — truth
 tables and comparison-function identification — is fanned out over a
@@ -33,10 +37,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..analysis import AnalysisSession
+from ..analysis import AnalysisSession, Cone
+from ..comparison.identify import identification_cache, is_exhaustive
 from ..netlist import (
+    CHANGE_OUTPUTS,
+    CHANGE_REMOVE,
+    CHANGE_RESET,
     Circuit,
     GateType,
+    NetChange,
     decompose_two_input,
     two_input_gate_count,
 )
@@ -232,6 +241,211 @@ def _make_combined_selector(gate_weight: float) -> Selector:
     return select
 
 
+class _Sampled:
+    """A cached cone whose search is sampled, so its result is per seed."""
+
+    __slots__ = ("cone", "seed", "option")
+
+    def __init__(self, cone: Cone, seed: int,
+                 option: Optional[ReplacementOption]) -> None:
+        self.cone = cone
+        self.seed = seed
+        self.option = option
+
+
+class _SiteEntry:
+    """The cached candidates of one selection site."""
+
+    __slots__ = ("slots", "order", "frozen")
+
+    def __init__(self, slots: tuple, order: Tuple[str, ...],
+                 frozen: frozenset) -> None:
+        self.slots = slots  # ReplacementOption or _Sampled, in cone order
+        self.order = order  # every enumerated cone input, in rank order
+        self.frozen = frozen  # the frozen nets among ``order``
+
+    def has_member(self, net: str) -> bool:
+        """True when *net* is a member of a cone this entry retains."""
+        return any(net in slot.cone.members for slot in self.slots)
+
+
+_NO_FROZEN: frozenset = frozenset()
+
+
+class CandidateCache:
+    """Per-site candidate options, kept across passes while still valid.
+
+    :meth:`options` answers what the sweep used to compute inline at each
+    selection site: enumerate the candidate cones, evaluate each, keep
+    the realizable ones in cone order.  A miss does exactly that and
+    stores the label-independent result of every cone that can ever be
+    selected; a hit only re-prices ``paths_on_output`` against the
+    current labels (:meth:`ReplacementOption.priced`).
+
+    An entry is reused only while all of these hold (docs/INCREMENTAL.md
+    explains each):
+
+    * no :class:`~repro.netlist.NetChange` since the store touched its
+      dependency set — the site, cone members, cone inputs and readers of
+      retained members — and no added or rewired gate started reading a
+      retained member; ``outputs`` and ``reset`` events clear the cache;
+    * the frozen nets among the enumerated cone inputs are unchanged;
+    * the canonical ``topo_rank`` order of those inputs is unchanged;
+    * a sampled search (``n! > perm_budget``) ran under the current pass
+      seed — otherwise just that cone is evaluated again.
+
+    Misses call ``enumerate_candidate_cones`` and ``evaluate_cone``
+    through this module's globals, so wrappers installed there see
+    every real call.  :attr:`sites`, :attr:`sites_reused` and
+    :attr:`cones_evaluated` count the work done (exact under a seed).
+    """
+
+    def __init__(self, circuit: Circuit, k: int, perm_budget: int,
+                 exact: bool, session: AnalysisSession) -> None:
+        self._circuit = circuit
+        self._k = k
+        self._perm_budget = perm_budget
+        self._exact = exact
+        self._session = session
+        self._entries: Dict[str, _SiteEntry] = {}
+        # net -> sites whose entry depends on it (may hold stale sites;
+        # a stale reference only costs a needless re-enumeration)
+        self._sites_of: Dict[str, List[str]] = {}
+        self.sites = 0
+        self.sites_reused = 0
+        self.cones_evaluated = 0
+        circuit.subscribe(self)
+
+    def close(self) -> None:
+        """Detach from the circuit and drop every entry."""
+        self._circuit.unsubscribe(self)
+        self._entries.clear()
+        self._sites_of.clear()
+
+    # -- invalidation -------------------------------------------------- #
+
+    def circuit_changed(self, circuit: Circuit, change: NetChange) -> None:
+        """Drop every entry the mutation could have changed."""
+        if change.kind in (CHANGE_OUTPUTS, CHANGE_RESET):
+            self._entries.clear()
+            self._sites_of.clear()
+            return
+        entries = self._entries
+        for site in self._sites_of.pop(change.net, ()):
+            entries.pop(site, None)
+        if change.kind != CHANGE_REMOVE:
+            for fanin in circuit.gate(change.net).fanins:
+                self._reader_gained(fanin)
+
+    def _reader_gained(self, net: str) -> None:
+        """*net* gained a reader: entries with it as a member are stale."""
+        entries = self._entries
+        for site in self._sites_of.get(net, ()):
+            entry = entries.get(site)
+            if entry is not None and entry.has_member(net):
+                del entries[site]
+
+    # -- lookup -------------------------------------------------------- #
+
+    def options(self, net: str, frozen: Set[str], seed: int,
+                labels: Dict[str, int],
+                tracer=null_tracer) -> List[ReplacementOption]:
+        """The realizable options of site *net*, priced under *labels*.
+
+        A miss runs under ``enumerate`` and ``evaluate`` spans of
+        *tracer*, a hit under one ``reuse`` span.
+        """
+        self.sites += 1
+        entry = self._entries.get(net)
+        if entry is not None and self._reusable(entry, frozen):
+            self.sites_reused += 1
+            with tracer.span("reuse", slots=len(entry.slots)):
+                return self._reuse(entry, seed, labels)
+        with tracer.span("enumerate"):
+            cones = enumerate_candidate_cones(self._circuit, net, self._k,
+                                              frozen)
+        with tracer.span("evaluate", cones=len(cones)):
+            return self._build(net, cones, frozen, seed, labels)
+
+    @staticmethod
+    def _frozen_part(order: Tuple[str, ...], frozen: Set[str]) -> frozenset:
+        if not frozen:
+            return _NO_FROZEN
+        return frozenset(n for n in order if n in frozen)
+
+    def _order_holds(self, order: Tuple[str, ...]) -> bool:
+        """True when *order* is still ascending in canonical rank."""
+        rank = self._circuit.topo_rank
+        last = -1
+        for net in order:
+            now = rank(net)
+            if now <= last:
+                return False
+            last = now
+        return True
+
+    def _reusable(self, entry: _SiteEntry, frozen: Set[str]) -> bool:
+        return (entry.frozen == self._frozen_part(entry.order, frozen)
+                and self._order_holds(entry.order))
+
+    def _evaluate(self, cone: Cone, seed: int,
+                  labels: Dict[str, int]) -> Optional[ReplacementOption]:
+        self.cones_evaluated += 1
+        session = self._session
+        return evaluate_cone(
+            self._circuit, cone, labels, perm_budget=self._perm_budget,
+            seed=seed, exact=self._exact, tt_cache=session.truth_tables,
+            memo=session.memo,
+        )
+
+    def _reuse(self, entry: _SiteEntry, seed: int,
+               labels: Dict[str, int]) -> List[ReplacementOption]:
+        options = []
+        for slot in entry.slots:
+            if type(slot) is _Sampled:
+                if slot.seed != seed:
+                    slot.option = self._evaluate(slot.cone, seed, labels)
+                    slot.seed = seed
+                option = slot.option
+                if option is None:
+                    continue
+            else:
+                option = slot
+            options.append(option.priced(labels))
+        return options
+
+    def _build(self, net: str, cones: List[Cone], frozen: Set[str],
+               seed: int, labels: Dict[str, int]) -> List[ReplacementOption]:
+        circuit = self._circuit
+        options = []
+        slots = []
+        deps: Set[str] = {net}  # its gate decides C_0 even when none is kept
+        inputs: Set[str] = set()
+        for cone in cones:
+            option = self._evaluate(cone, seed, labels)
+            deps.update(cone.members)
+            inputs.update(cone.inputs)
+            if not is_exhaustive(len(cone.inputs), self._perm_budget):
+                slots.append(_Sampled(cone, seed, option))
+            elif option is not None:
+                slots.append(option)
+            else:
+                continue  # exhaustively unrealizable: never selectable
+            if option is not None:
+                options.append(option)
+            for m in cone.members:
+                if m != net:
+                    deps.update(circuit.fanouts(m))
+        deps |= inputs
+        order = tuple(sorted(inputs, key=circuit.topo_rank))
+        self._entries[net] = _SiteEntry(
+            tuple(slots), order, self._frozen_part(order, frozen))
+        sites_of = self._sites_of
+        for d in deps:
+            sites_of.setdefault(d, []).append(net)
+        return options
+
+
 def _resynthesis_pass(
     work: Circuit,
     selector: Selector,
@@ -243,6 +457,7 @@ def _resynthesis_pass(
     evaluator: Optional["ParallelEvaluator"] = None,
     tracer=null_tracer,
     registry: Optional[Registry] = None,
+    candidates: Optional[CandidateCache] = None,
 ) -> int:
     """One outputs-to-inputs sweep; returns the number of replacements.
 
@@ -251,6 +466,10 @@ def _resynthesis_pass(
     pass-start snapshot — earlier replacements in the same pass are
     reflected immediately.
 
+    Each site's options come from *candidates*, the run's
+    :class:`CandidateCache` (a throwaway one when omitted), so a site no
+    change has touched since an earlier pass is not enumerated again.
+
     When an *evaluator* is given, the pass-start candidate cones are
     evaluated by its worker pool first (:mod:`repro.parallel`); the sweep
     below then mostly hits the warmed caches.  Cones that only come into
@@ -258,15 +477,18 @@ def _resynthesis_pass(
     as in a serial run, so the selected replacements are identical.
 
     *tracer* emits one ``candidate`` span per selection site with
-    ``extract`` / ``identify`` / ``replace`` children; *registry*
-    receives the accepted/rejected counters and the gate/path-delta
-    histograms.  Neither can influence a decision — with the default
-    null tracer the instrumentation is a no-op.
+    ``enumerate`` / ``evaluate`` (a cache miss) or ``reuse`` (a hit) and
+    ``replace`` children; *registry* receives the
+    accepted/rejected counters and the gate/path-delta histograms.
+    Neither can influence a decision — with the default null tracer the
+    instrumentation is a no-op.
     """
     own_session = session is None
     if own_session:
         session = AnalysisSession(work)
-    memo = session.memo
+    own_candidates = candidates is None
+    if own_candidates:
+        candidates = CandidateCache(work, k, perm_budget, exact, session)
     if registry is None:
         registry = get_registry()
     accepted = registry.get_counter(
@@ -314,18 +536,8 @@ def _resynthesis_pass(
                 continue
             labels = session.labels()  # current after earlier replacements
             with tracer.span("candidate", net=net) as csp:
-                with tracer.span("enumerate"):
-                    cones = enumerate_candidate_cones(work, net, k, frozen)
-                options = []
-                with tracer.span("evaluate", cones=len(cones)):
-                    for cone in cones:
-                        option = evaluate_cone(
-                            work, cone, labels, perm_budget=perm_budget,
-                            seed=seed, exact=exact,
-                            tt_cache=session.truth_tables, memo=memo,
-                        )
-                        if option is not None:
-                            options.append(option)
+                options = candidates.options(net, frozen, seed, labels,
+                                             tracer)
                 paths_now = current_paths_on(work, net, labels)
                 chosen = selector(options, paths_now)
                 if chosen is None:
@@ -343,6 +555,8 @@ def _resynthesis_pass(
                 csp.annotate(gate_gain=chosen.gate_gain,
                              path_delta=paths_now - chosen.paths_on_output)
     finally:
+        if own_candidates:
+            candidates.close()
         if own_session:
             session.close()
     return replacements
@@ -444,6 +658,7 @@ def _run(
             epoch_base = work.epoch
             session = AnalysisSession(work, registry=registry, memo=memo,
                                       fabric=fabric)
+            candidates = CandidateCache(work, k, perm_budget, exact, session)
         verify_seconds: List[float] = []
         try:
             with tracer.span("setup.labels"):
@@ -452,20 +667,33 @@ def _run(
             setup_seconds = time.perf_counter() - setup_start
             pass_hist = registry.get_histogram(
                 "resynth_pass_seconds", "wall clock of one sweep pass")
+            id_cache = identification_cache()
             while not done and passes < max_passes:
                 passes += 1
                 tt = session.truth_tables
                 hits0, misses0 = tt.hits, tt.misses
+                sites0 = candidates.sites
+                reused0 = candidates.sites_reused
+                evaluated0 = candidates.cones_evaluated
+                searches0 = id_cache.searches
                 pass_start = time.perf_counter()
                 with tracer.span("pass", pass_no=passes) as pspan:
                     made = _resynthesis_pass(
                         work, selector, k, perm_budget, seed + passes,
                         exact, session=session, evaluator=evaluator,
                         tracer=tracer, registry=registry,
+                        candidates=candidates,
                     )
-                    pspan.annotate(replacements=made,
-                                   tt_hits=tt.hits - hits0,
-                                   tt_misses=tt.misses - misses0)
+                    pspan.annotate(
+                        replacements=made,
+                        tt_hits=tt.hits - hits0,
+                        tt_misses=tt.misses - misses0,
+                        sites=candidates.sites - sites0,
+                        sites_reused=candidates.sites_reused - reused0,
+                        cones_evaluated=(candidates.cones_evaluated
+                                         - evaluated0),
+                        searches=id_cache.searches - searches0,
+                    )
                 pass_wall = time.perf_counter() - pass_start
                 pass_seconds.append(pass_wall)
                 pass_hist.observe(pass_wall)
@@ -513,6 +741,7 @@ def _run(
                         ))
             paths_after = session.total_paths()
         finally:
+            candidates.close()
             session.close()
             if evaluator is not None:
                 evaluator.close()
@@ -587,8 +816,8 @@ def procedure2(
         uninterrupted run (docs/SERVICE.md states the contract).
     tracer:
         A :class:`repro.obs.Tracer` recording the run's span tree
-        (run → pass → candidate → extract/identify/replace; see
-        docs/OBSERVABILITY.md).  Default: the null tracer — the
+        (run → pass → candidate → enumerate/evaluate or reuse, and
+        replace; see docs/OBSERVABILITY.md).  Default: the null tracer — the
         instrumented sites become no-ops and the report is unaffected
         either way (tracing never influences a decision).
     registry:

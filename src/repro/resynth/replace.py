@@ -12,6 +12,11 @@ and prices the replacement:
   where ``N_p`` are the Procedure 1 labels of the host circuit and ``K_p``
   the unit's internal path counts.
 
+Only ``paths_on_output`` reads the labels.  Everything else is a function
+of the cone's structure and the search knobs, which is what lets the
+sweep's candidate cache keep an option across passes and re-price it
+with :meth:`ReplacementOption.priced` (see docs/INCREMENTAL.md).
+
 Constant subfunctions are priced as a constant-gate substitution (the unit
 degenerates; local constant folding is always sound here because the truth
 table is exact over the cone's inputs).
@@ -20,7 +25,7 @@ table is exact over the cone's inputs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis import Cone, removable_members
 from ..comparison import (
@@ -44,9 +49,20 @@ from ..sim import TruthTableCache, cone_signature, signature_truth_table
 DEFAULT_MAX_SPECS = 6
 
 
+def _paths_on_output(inputs: Sequence[str], input_paths: Sequence[int],
+                     labels: Dict[str, int]) -> int:
+    """``sum N_p(i) * K_p(i)`` over the cone inputs."""
+    return sum(labels[i] * k for i, k in zip(inputs, input_paths))
+
+
 @dataclass(frozen=True)
 class ReplacementOption:
-    """A priced replacement of a cone by a comparison unit (or constant)."""
+    """A priced replacement of a cone by a comparison unit (or constant).
+
+    ``input_paths`` holds the unit's ``K_p`` per cone input, aligned with
+    ``cone.inputs`` (empty for a constant substitution); it is the
+    label-independent half of ``paths_on_output``.
+    """
 
     cone: Cone
     spec: Optional[ComparisonSpec]  # None for a constant substitution
@@ -54,6 +70,20 @@ class ReplacementOption:
     removable_gates: int  # the paper's N
     unit_gates: int  # the paper's N'
     paths_on_output: int
+    input_paths: Tuple[int, ...] = ()
+
+    def priced(self, labels: Dict[str, int]) -> "ReplacementOption":
+        """This option with ``paths_on_output`` under *labels*.
+
+        Returns ``self`` when the price is unchanged.
+        """
+        paths = _paths_on_output(self.cone.inputs, self.input_paths, labels)
+        if paths == self.paths_on_output:
+            return self
+        return ReplacementOption(
+            self.cone, self.spec, self.constant_value, self.removable_gates,
+            self.unit_gates, paths, self.input_paths,
+        )
 
     @property
     def gate_gain(self) -> int:
@@ -124,11 +154,10 @@ def evaluate_cone(
     if not specs:
         return None
     spec, cost = best_spec(specs)
-    paths = sum(
-        labels[i] * cost.paths_per_input[i] for i in cone.inputs
-    )
+    input_paths = tuple(cost.paths_per_input[i] for i in cone.inputs)
     return ReplacementOption(
-        cone, spec, None, n_removable, cost.two_input_gates, paths
+        cone, spec, None, n_removable, cost.two_input_gates,
+        _paths_on_output(cone.inputs, input_paths, labels), input_paths,
     )
 
 

@@ -29,7 +29,9 @@ executable check over a (usually randomly generated) instance:
     labels must equal independent from-scratch rebuilds after *every*
     mutation of a seeded random mutation sequence applied to the fuzz
     circuit (:mod:`repro.netlist.incremental` provides the ground-truth
-    rebuilds).
+    rebuilds).  So must the resynthesis sweep's
+    :class:`~repro.resynth.procedures.CandidateCache`: the options it
+    returns for every logic net equal a fresh enumerate + evaluate.
 ``parallel``, ``resume``, ``memo``, ``sweep``
     The determinism contract: Procedures 2 and 3 return the same report
     numbers and netlist on every execution path.  One driver,
@@ -959,17 +961,63 @@ def incremental_state_mismatch(
     return None
 
 
+#: Knobs of the candidate-cache leg: at K=4 with a budget of 6
+#: permutations, 1-3 input cones search exhaustively and 4 input cones
+#: are sampled, so both reuse rules are exercised.
+CANDIDATE_K = 4
+CANDIDATE_PERM_BUDGET = 6
+
+
+def candidate_cache_mismatch(
+    circuit: Circuit, cache, session: AnalysisSession,
+    frozen: Sequence[str], seed: int,
+) -> Optional[str]:
+    """First logic net whose cached options differ from a fresh evaluation.
+
+    *cache* is a :class:`~repro.resynth.procedures.CandidateCache` over
+    *circuit* built with :data:`CANDIDATE_K` and
+    :data:`CANDIDATE_PERM_BUDGET`.  For every logic net the options it
+    returns must equal, field for field and in order, those of a fresh
+    ``enumerate_candidate_cones`` + ``evaluate_cone`` (without a
+    truth-table cache) under the same labels, frozen set and seed.
+    """
+    from ..resynth import enumerate_candidate_cones, evaluate_cone
+
+    frozen = set(frozen)
+    labels = session.labels()
+    for gate in circuit.logic_gates():
+        net = gate.name
+        got = cache.options(net, frozen, seed, labels)
+        want = []
+        for cone in enumerate_candidate_cones(circuit, net, CANDIDATE_K,
+                                              frozen):
+            option = evaluate_cone(circuit, cone, labels,
+                                   perm_budget=CANDIDATE_PERM_BUDGET,
+                                   seed=seed)
+            if option is not None:
+                want.append(option)
+        if got != want:
+            return (f"candidate cache options of {net!r} diverged from a "
+                    f"fresh enumerate + evaluate_cone")
+    return None
+
+
 class IncrementalOracle(Oracle):
     """Incremental maintenance ≡ from-scratch recompute, after every step.
 
     Copies the fuzz circuit, forces every cache and attaches an
-    :class:`~repro.analysis.AnalysisSession`, then applies a seeded random
-    mutation sequence drawn from the real mutation API —
+    :class:`~repro.analysis.AnalysisSession` and a
+    :class:`~repro.resynth.procedures.CandidateCache`, then applies a
+    seeded random mutation sequence drawn from the real mutation API —
     ``replace_gate``, ``rewire_fanin``, ``substitute_net``, ``add_gate``,
     ``remove_gate``, ``sweep``, ``add_output`` — re-checking
-    :func:`incremental_state_mismatch` after **every** mutation.  All
-    mutations are acyclicity-guarded via transitive-fanout checks, so a
-    divergence is always a maintenance bug, never an invalid instance.
+    :func:`incremental_state_mismatch` and
+    :func:`candidate_cache_mismatch` after **every** mutation.  Now and
+    then a step draws a new random frozen set or switches between two
+    pass seeds (from a second RNG, so the mutation sequence of a seed
+    does not depend on the leg).  All mutations are
+    acyclicity-guarded via transitive-fanout checks, so a divergence is
+    always a maintenance bug, never an invalid instance.
     """
 
     name = "incremental"
@@ -978,15 +1026,27 @@ class IncrementalOracle(Oracle):
         self._steps = steps
 
     def check_circuit(self, circuit: Circuit, seed: int) -> List[Violation]:
+        from ..resynth.procedures import CandidateCache
+
         work = circuit.copy()
         rng = random.Random((seed << 16) ^ 0x1C4E)
+        leg_rng = random.Random((seed << 16) ^ 0xCA5E)
         session = AnalysisSession(work)
+        cache = CandidateCache(work, CANDIDATE_K, CANDIDATE_PERM_BUDGET,
+                               False, session)
         try:
             # Force every cache so each mutation exercises the patch paths.
             work.fanout_map()
             work.topological_order()
             work.levels()
             session.labels()
+            frozen: List[str] = []
+            pass_seed = 1
+            cache_msg = candidate_cache_mismatch(work, cache, session, frozen,
+                                                 pass_seed)
+            if cache_msg is not None:
+                return [self._violation(circuit, seed, -1, "initial",
+                                        cache_msg)]
             epoch = work.epoch
             for step in range(self._steps):
                 desc = self._mutate(work, rng)
@@ -999,11 +1059,30 @@ class IncrementalOracle(Oracle):
                     )]
                 epoch = work.epoch
                 msg = incremental_state_mismatch(work, session)
+                if msg is None and self._acyclic(work):
+                    # Like a sweep: the frozen set and the pass seed change
+                    # now and then, so most queries can reuse an entry.
+                    if leg_rng.random() < 0.25:
+                        frozen = [n for n in self._logic_nets(work)
+                                  if leg_rng.random() < 0.25]
+                    if leg_rng.random() < 0.25:
+                        pass_seed = 3 - pass_seed
+                    msg = candidate_cache_mismatch(work, cache, session,
+                                                   frozen, pass_seed)
                 if msg is not None:
                     return [self._violation(circuit, seed, step, desc, msg)]
         finally:
+            cache.close()
             session.close()
         return []
+
+    @staticmethod
+    def _acyclic(work: Circuit) -> bool:
+        try:
+            work.topological_order()
+        except CircuitError:
+            return False
+        return True
 
     def _violation(
         self, circuit: Circuit, seed: int, step: int, desc: str, msg: str

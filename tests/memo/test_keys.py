@@ -86,7 +86,8 @@ class TestSeparation:
             assert memo_key_id(doc) != memo_key_id(doc_flipped)
 
     def test_search_knobs_separate_keys(self):
-        table, n = 0b1010_0101_1111_0000, 4
+        # 5! > perm_budget: a sampled search, so the seed is a real knob.
+        table, n = 0xA5F0_3C96, 5
         base = memo_key_doc(table, n, **KNOBS)
         for field, changed in [
             ("perm_budget", dict(KNOBS, perm_budget=41)),
@@ -95,6 +96,14 @@ class TestSeparation:
             ("max_specs", dict(KNOBS, max_specs=5)),
         ]:
             assert memo_key_doc(table, n, **changed) != base, field
+
+    def test_exhaustive_search_ignores_the_seed(self):
+        # 4! <= perm_budget: the search never reads its seed.
+        table, n = 0b1010_0101_1111_0000, 4
+        base = memo_key_doc(table, n, **KNOBS)
+        assert base["seed"] == 0
+        for seed in (0, 1, 4, 99):
+            assert memo_key_doc(table, n, **dict(KNOBS, seed=seed)) == base
 
     def test_different_n_same_bits_separate(self):
         # The same integer read as a 2-input vs padded 3-input table.

@@ -82,7 +82,7 @@ class TestCLI:
         warm = capsys.readouterr().out
         identification_cache().clear()
         # Warm run serves hits, and the printed sweep lines agree.
-        assert "0 hit(s)" not in warm
+        assert "memo: 0 hit(s)" not in warm
 
         def sweep_lines(text):
             # Drop the wall-clock lines — exactly what the memo is
@@ -136,3 +136,39 @@ class TestService:
         memoed = run_job(other, job_b, memo=str(tmp_path / "memo"))
         identification_cache().clear()
         assert_same(plain, memoed, "run_job-memo")
+
+
+class TestSeedFreeExhaustiveKeys:
+    """Exhaustive searches are stored under seed 0, sampled ones per seed."""
+
+    def test_second_seed_of_an_exhaustive_run_never_misses(self, circuit,
+                                                          tmp_path):
+        root = str(tmp_path / "memo")
+        knobs = dict(KNOBS, perm_budget=200, k=4)  # 4! <= 200: exhaustive
+        identification_cache().clear()
+        try:
+            cold = MemoStore(root, registry=Registry())
+            procedure2(circuit, **dict(knobs, seed=1), memo=cold)
+            assert cold.stats.puts > 0
+            identification_cache().clear()
+            second = MemoStore(root, registry=Registry())
+            procedure2(circuit, **dict(knobs, seed=2), memo=second)
+            assert second.stats.hits > 0
+            assert second.stats.misses == 0
+        finally:
+            identification_cache().clear()
+
+    def test_sampled_search_at_two_seeds_gives_two_entries(self, tmp_path):
+        from repro.comparison import identify_comparison
+
+        store = MemoStore(str(tmp_path / "memo"), registry=Registry())
+        table = sum(1 << m for m in range(5, 40))  # 6 inputs: 6! > 200
+        names = ("a", "b", "c", "d", "e", "f")
+        identification_cache().clear()
+        try:
+            for seed in (1, 2):
+                identify_comparison(table, names, seed=seed, memo=store)
+        finally:
+            identification_cache().clear()
+        assert store.stats.puts == 2
+        assert store.disk_entries == 2

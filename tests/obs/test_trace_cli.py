@@ -48,6 +48,20 @@ class TestTracedResynthesis:
             assert span.attrs["tt_misses"] >= 0
             assert "replacements" in span.attrs
 
+    def test_pass_spans_carry_work_counts(self):
+        tracer, report = traced_run()
+        passes = tracer.find("pass")
+        assert report.passes >= 2
+        for span in passes:
+            assert 0 <= span.attrs["sites_reused"] <= span.attrs["sites"]
+            assert span.attrs["cones_evaluated"] >= 0
+            assert span.attrs["searches"] >= 0
+        assert (sum(s.attrs["sites"] for s in passes)
+                == len(tracer.find("candidate")))
+        assert (sum(s.attrs["sites_reused"] for s in passes)
+                == len(tracer.find("reuse")))
+        assert passes[-1].attrs["sites_reused"] > 0
+
     def test_pass_span_walls_match_report_pass_seconds(self):
         tracer, report = traced_run()
         walls = [s.wall_s for s in tracer.find("pass")]

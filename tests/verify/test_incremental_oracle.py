@@ -2,6 +2,7 @@
 
 from repro.analysis import AnalysisSession
 from repro.netlist import CircuitBuilder
+from repro.resynth.procedures import CandidateCache
 from repro.verify import (
     IncrementalOracle,
     generate_case,
@@ -70,3 +71,36 @@ class TestOracleRuns:
                           oracles=[IncrementalOracle()])
         assert report.ok, report.summary()
         assert report.checks_run == {"incremental": 5}
+
+
+class TestCandidateCacheLeg:
+    """Each reuse rule of the candidate cache is load-bearing.
+
+    Every test drops one rule and expects the oracle's candidate leg to
+    name the divergence on one of the first 20 seeds.
+    """
+
+    def assert_caught(self):
+        oracle = IncrementalOracle()
+        for seed in range(20):
+            found = oracle.check_circuit(generate_case(seed), seed)
+            if found:
+                assert "candidate cache" in found[0].message
+                return
+        raise AssertionError("no seed exposed the dropped rule")
+
+    def test_dropping_the_reader_gained_invalidation_is_caught(
+            self, monkeypatch):
+        monkeypatch.setattr(CandidateCache, "_reader_gained",
+                            lambda self, net: None)
+        self.assert_caught()
+
+    def test_dropping_the_frozen_check_is_caught(self, monkeypatch):
+        monkeypatch.setattr(CandidateCache, "_frozen_part",
+                            staticmethod(lambda order, frozen: frozenset()))
+        self.assert_caught()
+
+    def test_dropping_the_input_order_check_is_caught(self, monkeypatch):
+        monkeypatch.setattr(CandidateCache, "_order_holds",
+                            lambda self, order: True)
+        self.assert_caught()
